@@ -49,14 +49,14 @@ import sys
 from typing import Callable, Sequence
 
 from repro.core.autotune import SelectiveCompressionAutoTuner
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
-from repro.core.framework import OptimusCC
 from repro.plan import (
+    DP_CODECS,
     DP_FIRE_KINDS,
     EXECUTOR_KINDS,
     PLAN_PRESETS,
     SCHEDULE_KINDS,
     Boundary,
+    CompressionSpec,
     ParallelPlan,
     ResilienceSpec,
 )
@@ -70,7 +70,9 @@ from repro.models.gpt_configs import (
     GPT_175B,
     PaperModelSpec,
 )
+from repro.simulator.breakdown import compute_breakdown
 from repro.simulator.cost_model import TrainingJob
+from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 #: Models addressable from the command line.
@@ -79,16 +81,17 @@ MODEL_CATALOGUE: dict[str, PaperModelSpec] = {
     for spec in (GPT_2_5B, GPT_8_3B, GPT_9_2B, GPT_18B, GPT_39B, GPT_76B, GPT_175B)
 }
 
-#: Named configurations addressable from the command line.
-CONFIG_CATALOGUE: dict[str, Callable[[], OptimusCCConfig]] = {
-    "baseline": OptimusCCConfig.baseline,
-    "cb": OptimusCCConfig.cb,
-    "cb_fe": OptimusCCConfig.cb_fe,
-    "cb_fe_sc": OptimusCCConfig.cb_fe_sc,
-    "naive_dp": OptimusCCConfig.naive_dp,
-    "naive_cb": OptimusCCConfig.naive_cb,
-    "optimus_topk": OptimusCCConfig.optimus_topk,
-}
+#: The :data:`~repro.plan.PLAN_PRESETS` that ``--config`` accepts (and that
+#: ``simulate --config all`` tabulates), in the paper's order.
+CONFIG_CATALOGUE = (
+    "baseline",
+    "cb",
+    "cb_fe",
+    "cb_fe_sc",
+    "naive_dp",
+    "naive_cb",
+    "optimus_topk",
+)
 
 
 def _resolve_model(name: str) -> PaperModelSpec:
@@ -99,12 +102,12 @@ def _resolve_model(name: str) -> PaperModelSpec:
     return MODEL_CATALOGUE[name]
 
 
-def _resolve_config(name: str) -> OptimusCCConfig:
+def _resolve_config(name: str) -> ParallelPlan:
     if name not in CONFIG_CATALOGUE:
         raise SystemExit(
             f"unknown configuration {name!r}; available: {', '.join(sorted(CONFIG_CATALOGUE))}"
         )
-    return CONFIG_CATALOGUE[name]()
+    return ParallelPlan.preset(name)
 
 
 def _load_plan_file(path: str) -> ParallelPlan:
@@ -176,10 +179,10 @@ def command_simulate(arguments: argparse.Namespace) -> int:
         title=f"{model.name}: simulated training on the paper's 128-GPU cluster",
         columns=["Configuration", "Iteration (s)", f"Days/{arguments.iterations // 1000}K", "Speedup"],
     )
-    baseline = OptimusCC(OptimusCCConfig.baseline()).simulate_iteration(job)
+    baseline = PipelineTimingSimulator(job, ParallelPlan.baseline()).run()
     names = [arguments.config] if arguments.config != "all" else list(CONFIG_CATALOGUE)
     for name in names:
-        timing = OptimusCC(_resolve_config(name)).simulate_iteration(job)
+        timing = PipelineTimingSimulator(job, _resolve_config(name)).run()
         table.add_row(
             [
                 name,
@@ -217,7 +220,7 @@ def build_train_plan(arguments: argparse.Namespace) -> ParallelPlan:
             )
         plan = ParallelPlan.preset(arguments.preset).proxy_scaled()
     else:
-        plan = _resolve_config(arguments.config or "cb_fe_sc").as_plan().proxy_scaled()
+        plan = _resolve_config(arguments.config or "cb_fe_sc").proxy_scaled()
 
     topology_overrides = {
         key: value
@@ -525,10 +528,10 @@ def command_plan_diff(arguments: argparse.Namespace) -> int:
 
 def command_breakdown(arguments: argparse.Namespace) -> int:
     model = _resolve_model(arguments.model)
-    config = _resolve_config(arguments.config)
-    breakdown = OptimusCC(config).breakdown(TrainingJob(model=model))
+    plan = _resolve_config(arguments.config)
+    breakdown = compute_breakdown(TrainingJob(model=model), plan)
     table = Table(
-        title=f"{model.name} / {config.describe()}: execution-time breakdown",
+        title=f"{model.name} / {plan.stack_label()}: execution-time breakdown",
         columns=["Component", "Seconds", "Share"],
     )
     for component, seconds in breakdown.as_dict().items():
@@ -812,11 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--tensor-parallel", type=int, default=None,
                        help="TP shards (default: the plan's topology.tp)")
     train.add_argument("--iterations", type=int, default=4)
-    from repro.core.config import ENGINE_DP_CODECS
-
     train.add_argument(
         "--dp-codec",
-        choices=ENGINE_DP_CODECS,
+        choices=DP_CODECS,
         default=None,
         help="override the DP all-reduce codec (default: the plan's)",
     )
@@ -832,10 +833,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--dp-min-elements", type=int, default=None,
                        help="parameters smaller than this stay uncompressed (default: 1024)")
     # The default is the dataclass's, by construction: an omitted flag keeps the
-    # plan's bucket_bytes, which EngineCompressionConfig/CompressionSpec seed.
+    # plan's bucket_bytes, which CompressionSpec seeds.
     train.add_argument("--dp-bucket-kb", type=int, default=None,
                        help="target gradient-bucket size (KiB of wire payload; "
-                            f"default: {EngineCompressionConfig.dp_bucket_bytes // 1024} "
+                            f"default: {CompressionSpec.bucket_bytes // 1024} "
                             "via the plan's DP boundary spec)")
     train.add_argument("--dp-fire", choices=DP_FIRE_KINDS, default=None,
                        help="bucket firing granularity on the overlapped DP path: "

@@ -21,12 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.core.selective_stage import select_compressed_stages
+from repro.plan import Boundary, ParallelPlan
 from repro.simulator.cost_model import CostModel, TrainingJob
-from repro.simulator.executor import CompressionPlan, PipelineTimingSimulator
+from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 #: Signature of the optional quality evaluator: plan -> quality score (lower = better).
-QualityEvaluator = Callable[[CompressionPlan], float]
+QualityEvaluator = Callable[[ParallelPlan], float]
+
+
+def _operating_point(base_plan: ParallelPlan, stage_fraction: float, dp_rank: int) -> ParallelPlan:
+    """``base_plan`` with selective PowerSGD on ``stage_fraction`` of the stages at ``dp_rank``."""
+    return base_plan.with_boundary(
+        Boundary.DP, codec="powersgd", rank=dp_rank, stage_fraction=stage_fraction
+    )
 
 
 @dataclass(frozen=True)
@@ -52,18 +61,10 @@ class AutoTuneResult:
     candidates: list[AutoTuneCandidate] = field(default_factory=list)
     budget: float = 1.0
 
-    def best_plan(self, base_plan: CompressionPlan | None = None) -> CompressionPlan:
-        """The compression plan corresponding to the best candidate."""
-        base = base_plan if base_plan is not None else CompressionPlan.cb_fe()
-        return CompressionPlan(
-            compress_backward=base.compress_backward,
-            backward_rank=base.backward_rank,
-            backward_epilogue_only=base.backward_epilogue_only,
-            compress_forward=base.compress_forward,
-            dp_compressed_stage_fraction=self.best.stage_fraction,
-            dp_rank=self.best.dp_rank,
-            fuse_embedding=base.fuse_embedding,
-        )
+    def best_plan(self, base_plan: ParallelPlan | None = None) -> ParallelPlan:
+        """The plan corresponding to the best candidate (on top of ``base_plan``)."""
+        base = base_plan if base_plan is not None else ParallelPlan.cb_fe()
+        return _operating_point(base, self.best.stage_fraction, self.best.dp_rank)
 
     def render(self) -> str:
         table = Table(
@@ -94,25 +95,23 @@ class SelectiveCompressionAutoTuner:
     def __init__(
         self,
         job: TrainingJob,
-        base_plan: CompressionPlan | None = None,
+        base_plan: ParallelPlan | None = None,
         stage_fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
         dp_ranks: Sequence[int] = (32, 64, 128, 256),
     ) -> None:
         self.job = job
-        self.base_plan = base_plan if base_plan is not None else CompressionPlan.cb_fe()
+        self.base_plan = base_plan if base_plan is not None else ParallelPlan.cb_fe()
         self.stage_fractions = tuple(stage_fractions)
         self.dp_ranks = tuple(int(rank) for rank in dp_ranks)
         self.cost = CostModel(job)
-        self._baseline_timing = PipelineTimingSimulator(job, CompressionPlan.baseline()).run()
+        self._baseline_timing = PipelineTimingSimulator(job, ParallelPlan.baseline()).run()
 
     # -- proxies -----------------------------------------------------------------
 
     def dp_bytes_removed_fraction(self, stage_fraction: float, dp_rank: int) -> float:
         """Fraction of total DP gradient bytes removed from the wire by a candidate."""
         num_stages = self.job.num_stages
-        compressed_stages = CompressionPlan(
-            dp_compressed_stage_fraction=stage_fraction, dp_rank=dp_rank
-        ).compressed_dp_stages(num_stages)
+        compressed_stages = select_compressed_stages(num_stages, stage_fraction)
         total = 0.0
         removed = 0.0
         for stage in range(num_stages):
@@ -124,16 +123,8 @@ class SelectiveCompressionAutoTuner:
             return 0.0
         return removed / total
 
-    def _plan_for(self, stage_fraction: float, dp_rank: int) -> CompressionPlan:
-        return CompressionPlan(
-            compress_backward=self.base_plan.compress_backward,
-            backward_rank=self.base_plan.backward_rank,
-            backward_epilogue_only=self.base_plan.backward_epilogue_only,
-            compress_forward=self.base_plan.compress_forward,
-            dp_compressed_stage_fraction=stage_fraction,
-            dp_rank=dp_rank,
-            fuse_embedding=self.base_plan.fuse_embedding,
-        )
+    def _plan_for(self, stage_fraction: float, dp_rank: int) -> ParallelPlan:
+        return _operating_point(self.base_plan, stage_fraction, dp_rank)
 
     # -- search --------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ approximation, and keeps its own new residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from repro.parallel.arena import BucketResidualStore, CodecBucket
 from repro.parallel.collectives import SimulatedProcessGroup
 from repro.tensor.parameter import Parameter
 from repro.utils.random import seeded_rng
+
+if TYPE_CHECKING:
+    from repro.plan import CompressionSpec
 
 
 def select_compressed_stages(num_stages: int, fraction: float) -> set[int]:
@@ -42,6 +45,16 @@ def select_compressed_stages(num_stages: int, fraction: float) -> set[int]:
         raise ValueError("fraction must be in [0, 1]")
     count = int(round(fraction * num_stages))
     return set(range(min(count, num_stages)))
+
+
+def compressed_stages_of(spec: "CompressionSpec", num_stages: int) -> set[int]:
+    """Stages whose DP traffic a plan's DP-boundary ``spec`` compresses.
+
+    The one rule the engine, the timing simulator and the memory model share:
+    :func:`select_compressed_stages` over ``spec.stage_fraction``, and no stage
+    at all when the codec is ``"none"``.
+    """
+    return select_compressed_stages(num_stages, spec.stage_fraction if spec.compresses else 0.0)
 
 
 @dataclass

@@ -91,8 +91,11 @@ class InterStageChannel:
 
     def send_forward(
         self, activation: np.ndarray, boundary: int, micro_batch: int, num_micro_batches: int
-    ) -> np.ndarray:
-        """Transfer an activation from stage ``boundary`` to stage ``boundary + 1``."""
+    ) -> tuple[np.ndarray, int]:
+        """Transfer an activation from stage ``boundary`` to stage ``boundary + 1``.
+
+        Returns the delivered activation and the wire bytes the transfer logged.
+        """
         delivered = activation
         payload_bytes = int(activation.size * WIRE_BYTES_PER_ELEMENT)
         compressed = False
@@ -111,12 +114,15 @@ class InterStageChannel:
                 description=f"fwd activation mb={micro_batch}",
             )
         )
-        return delivered
+        return delivered, payload_bytes
 
     def send_backward(
         self, gradient: np.ndarray, boundary: int, micro_batch: int, num_micro_batches: int
-    ) -> np.ndarray:
-        """Transfer an activation gradient from stage ``boundary + 1`` to stage ``boundary``."""
+    ) -> tuple[np.ndarray, int]:
+        """Transfer an activation gradient from stage ``boundary + 1`` to stage ``boundary``.
+
+        Returns the delivered gradient and the wire bytes the transfer logged.
+        """
         delivered = gradient
         payload_bytes = int(gradient.size * WIRE_BYTES_PER_ELEMENT)
         compressed = False
@@ -135,7 +141,7 @@ class InterStageChannel:
                 description=f"bwd gradient mb={micro_batch}",
             )
         )
-        return delivered
+        return delivered, payload_bytes
 
 
 class PipelineParallelEngine:
@@ -210,9 +216,8 @@ class PipelineParallelEngine:
         if self.schedule_kind in SPLIT_BACKWARD_KINDS:
             return self._run_iteration_split(micro_batches, self._build_split_schedule(num_micro_batches))
         loss_scale = 1.0 / num_micro_batches
-
-        forward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_forward")
-        backward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_backward")
+        # Wire bytes of this iteration's own transfers (the log is never scanned).
+        forward_bytes = backward_bytes = 0
 
         # Per-stage, per-micro-batch caches; index [stage][micro_batch].
         caches: list[list[StageCache | None]] = [
@@ -229,9 +234,10 @@ class PipelineParallelEngine:
                     losses.append(float(loss))
                 else:
                     activation, cache = stage.forward(activation)
-                    activation = self.channel.send_forward(
+                    activation, sent = self.channel.send_forward(
                         activation, stage_index, micro_batch, num_micro_batches
                     )
+                    forward_bytes += sent
                 caches[stage_index][micro_batch] = cache
 
         # Backward phase (micro-batch order, stages in reverse).
@@ -246,14 +252,11 @@ class PipelineParallelEngine:
                     grad = stage.backward(grad, cache)
                 caches[stage_index][micro_batch] = None  # release activation memory
                 if stage_index > 0 and grad is not None:
-                    grad = self.channel.send_backward(
+                    grad, sent = self.channel.send_backward(
                         grad, stage_index - 1, micro_batch, num_micro_batches
                     )
+                    backward_bytes += sent
 
-        forward_bytes = self.channel.log.total_wire_bytes("inter_stage_forward") - forward_bytes_before
-        backward_bytes = (
-            self.channel.log.total_wire_bytes("inter_stage_backward") - backward_bytes_before
-        )
         return IterationResult(
             mean_loss=float(np.mean(losses)),
             num_micro_batches=num_micro_batches,
@@ -301,9 +304,8 @@ class PipelineParallelEngine:
         num_micro_batches = len(micro_batches)
         num_stages = self.num_stages
         loss_scale = 1.0 / num_micro_batches
-
-        forward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_forward")
-        backward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_backward")
+        # Wire bytes of this iteration's own transfers (the log is never scanned).
+        forward_bytes = backward_bytes = 0
 
         caches: list[list[StageCache | None]] = [
             [None] * num_micro_batches for _ in range(num_stages)
@@ -338,11 +340,11 @@ class PipelineParallelEngine:
                             losses[op.micro_batch] = float(loss)
                         else:
                             activation, cache = stage.forward(activation)
-                            activations[(stage_index + 1, op.micro_batch)] = (
-                                self.channel.send_forward(
-                                    activation, stage_index, op.micro_batch, num_micro_batches
-                                )
+                            activation, sent = self.channel.send_forward(
+                                activation, stage_index, op.micro_batch, num_micro_batches
                             )
+                            activations[(stage_index + 1, op.micro_batch)] = activation
+                            forward_bytes += sent
                         caches[stage_index][op.micro_batch] = cache
                     elif op.kind == "backward_input":
                         if key not in gradients:
@@ -355,11 +357,11 @@ class PipelineParallelEngine:
                             grad = stage.backward_input(grad, cache)
                         backward_done.add(key)
                         if stage_index > 0 and grad is not None:
-                            gradients[(stage_index - 1, op.micro_batch)] = (
-                                self.channel.send_backward(
-                                    grad, stage_index - 1, op.micro_batch, num_micro_batches
-                                )
+                            grad, sent = self.channel.send_backward(
+                                grad, stage_index - 1, op.micro_batch, num_micro_batches
                             )
+                            gradients[(stage_index - 1, op.micro_batch)] = grad
+                            backward_bytes += sent
                     else:  # backward_weight — always ready (op order puts B first)
                         if key not in backward_done:
                             break
@@ -373,10 +375,6 @@ class PipelineParallelEngine:
                     f"{self.schedule_kind} schedule deadlocked (invalid dependency structure)"
                 )
 
-        forward_bytes = self.channel.log.total_wire_bytes("inter_stage_forward") - forward_bytes_before
-        backward_bytes = (
-            self.channel.log.total_wire_bytes("inter_stage_backward") - backward_bytes_before
-        )
         return IterationResult(
             mean_loss=float(np.mean([loss for loss in losses if loss is not None])),
             num_micro_batches=num_micro_batches,

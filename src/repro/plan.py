@@ -3,15 +3,8 @@
 The paper's central idea is *3D-parallelism-aware* communication compression:
 each communication boundary — the data-parallel gradient all-reduce, the
 pipeline-parallel inter-stage backward channel, and the embedding
-synchronisation — gets its own codec and policy.  Before this module existed,
-that policy was smeared across four uncoordinated surfaces
-(:class:`repro.core.config.OptimusCCConfig` for the PP/embedding knobs,
-:class:`repro.core.config.EngineCompressionConfig` for the DP knobs, the
-simulator's :class:`repro.simulator.executor.CompressionPlan`, and a pile of
-hand-wired CLI flags), with every experiment driver doing its own translation.
-
-A :class:`ParallelPlan` is the single, frozen, validated object all of those
-are now derived *from*:
+synchronisation — gets its own codec and policy.  A :class:`ParallelPlan` is
+the one frozen, validated object that states all of it:
 
 * ``Topology(dp, pp, tp, micro_batches)`` — what runs where;
 * ``Schedule(kind, num_model_chunks)`` — how the pipeline iterates and whether
@@ -25,14 +18,13 @@ Plans round-trip through dicts/JSON (:meth:`ParallelPlan.to_dict` /
 :meth:`ParallelPlan.from_dict` / :meth:`ParallelPlan.to_json`), ship as named
 presets mirroring the paper's nomenclature (:meth:`ParallelPlan.preset`), and
 print one canonical label everywhere a report names a configuration
-(:meth:`ParallelPlan.describe`).  The consumers —
-:class:`~repro.parallel.engine.ThreeDParallelEngine`, the timing simulator, the
-CLI, and the experiment drivers — each expose a ``from_plan``/``plan=`` entry
-point so engine-measured and simulated traffic are provably derived from the
-same object.
+(:meth:`ParallelPlan.describe`).  Every consumer —
+:class:`~repro.parallel.engine.ThreeDParallelEngine`, the
+:class:`~repro.training.trainer.Pretrainer`, the timing simulator, the memory
+model, the CLI, and the experiment drivers — reads the plan itself, so
+engine-measured and simulated traffic are derived from the same object.
 
-This module is deliberately import-light (stdlib only at module level); the
-conversions into the engine/simulator config types import lazily, so
+This module is deliberately import-light (stdlib only at module level), so
 ``repro.plan`` sits below every consumer in the import graph.
 """
 
@@ -43,10 +35,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-if TYPE_CHECKING:  # conversions only — the runtime imports are lazy
-    from repro.core.config import EngineCompressionConfig, OptimusCCConfig
+if TYPE_CHECKING:  # the runtime import is lazy
     from repro.parallel.process_groups import ParallelLayout
-    from repro.simulator.executor import CompressionPlan
 
 
 class Boundary(str, Enum):
@@ -313,9 +303,8 @@ class Schedule:
     num_model_chunks:
         Megatron interleaved-1F1B model chunks per stage for the timing
         simulator; 1 selects the plain schedule.  Delivered through
-        :meth:`ParallelPlan.training_job` — :class:`CompressionPlan` carries
-        only codec policy, and the job owns the schedule shape.  (The
-        functional engine always computes the plain schedule — chunking
+        :meth:`ParallelPlan.training_job` — the job owns the schedule shape.
+        (The functional engine always computes the plain schedule — chunking
         changes timing, not numerics.)
     dp_fire:
         Firing granularity of the overlapped DP buckets: ``"stage"`` issues a
@@ -911,38 +900,7 @@ class ParallelPlan:
             )
         return PLAN_PRESETS[name](topology)
 
-    # -- conversions into the consumer layers ------------------------------------------
-
-    def engine_config(self) -> "EngineCompressionConfig":
-        """The unified engine's DP-boundary compression block, derived from this plan."""
-        from repro.core.config import EngineCompressionConfig
-
-        dp = self.spec(Boundary.DP)
-        return EngineCompressionConfig(
-            dp_codec=dp.codec,
-            dp_rank=dp.rank,
-            dp_qsgd_bits=dp.bits,
-            dp_topk_fraction=dp.fraction,
-            dp_error_feedback=dp.error_feedback,
-            dp_stage_fraction=dp.stage_fraction,
-            min_compression_elements=dp.min_elements,
-            tensor_parallel_degree=self.topology.tp,
-            dp_overlap=self.schedule.dp_overlap,
-            dp_bucket_bytes=dp.bucket_bytes,
-            dp_fire=self.schedule.dp_fire,
-        )
-
-    def optimus_config(self, seed: int = 0) -> "OptimusCCConfig":
-        """The PP/embedding/DP technique flags, derived from this plan."""
-        from repro.core.config import OptimusCCConfig
-
-        return OptimusCCConfig.from_plan(self, seed=seed)
-
-    def compression_plan(self) -> "CompressionPlan":
-        """The timing simulator's view of this plan."""
-        from repro.simulator.executor import CompressionPlan
-
-        return CompressionPlan.from_plan(self)
+    # -- simulator views ---------------------------------------------------------------
 
     def layout(self) -> "ParallelLayout":
         """The simulator-side parallel layout of this plan's topology."""

@@ -394,7 +394,7 @@ class CostModel:
         """Per-node-NIC bytes of the stage's DP all-reduce under the given codec.
 
         The codec vocabulary matches the engine's
-        (:data:`repro.simulator.executor.DP_CODECS`):
+        (:data:`repro.plan.DP_CODECS`):
 
         * ``"powersgd"`` — each ``rows x cols`` matrix shrinks to its rank-``r``
           ``P``/``Q`` factors, ``r (rows + cols)`` elements;

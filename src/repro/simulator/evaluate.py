@@ -4,8 +4,8 @@ The capacity-planning service (:mod:`repro.search`) needs to score thousands of
 candidate :class:`~repro.plan.ParallelPlan`s per query, each in milliseconds,
 each producing exactly the same numbers no matter which worker process computed
 it or in which order.  :func:`evaluate_plan` is that seam: it derives the
-simulator's job and compression views from the plan (the same single-source
-``from_plan`` paths every other consumer uses), replays one iteration through
+simulator's job from the plan, hands the plan itself to the simulator and the
+memory model (as every other consumer reads it), replays one iteration through
 :class:`~repro.simulator.executor.PipelineTimingSimulator`, reads the peak
 memory off :class:`~repro.simulator.memory_model.MemoryModel`, and folds the
 result into one flat, JSON-safe :class:`PlanEvaluation`.
@@ -144,9 +144,8 @@ def evaluate_plan(
     job: TrainingJob = (
         plan.training_job(model, cluster=cluster, micro_batch_size=micro_batch_size)
     )
-    compression = plan.compression_plan()
-    timing = PipelineTimingSimulator(job, compression).run()
-    memory = MemoryModel(job, compression).peak_report()
+    timing = PipelineTimingSimulator(job, plan).run()
+    memory = MemoryModel(job, plan).peak_report()
     tokens = job.global_batch_size * job.seq_length
     wire = timing.wire_bytes_by_axis()
     return PlanEvaluation(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.selective_stage import compressed_stages_of
 from repro.parallel.pipeline_schedule import (
     BACKWARD_SEND_KINDS,
     PipelineOp,
@@ -26,7 +27,6 @@ from repro.parallel.pipeline_schedule import (
     build_zb1_schedule,
 )
 from repro.plan import Boundary, ParallelPlan, SPLIT_BACKWARD_KINDS
-from repro.plan import DP_CODECS as DP_CODECS  # single shared codec vocabulary
 from repro.simulator.cost_model import CostModel, TrainingJob
 
 #: Modelled latency of respawning one worker after a crash or hang: fork the
@@ -69,176 +69,6 @@ class ComponentToggles:
     interstage: float = 1.0
     data_parallel: float = 1.0
     embedding: float = 1.0
-
-
-@dataclass(frozen=True)
-class CompressionPlan:
-    """Which Optimus-CC techniques are active for a simulated run.
-
-    Attributes
-    ----------
-    compress_backward:
-        Enable compressed backpropagation (CB) on inter-stage backward traffic.
-    backward_rank:
-        PowerSGD rank used for CB (paper default: 16).
-    backward_epilogue_only:
-        Compress only the epilogue (critical-path) transfers; ``False`` means naive
-        CB on every backward transfer.
-    compress_forward:
-        Compress forward activations too (the paper shows this breaks convergence;
-        kept for the motivational comparison only).
-    dp_compressed_stage_fraction:
-        Fraction of pipeline stages whose data-parallel traffic is compressed
-        (selective stage compression; earliest stages first).  1.0 compresses every
-        stage ("naive DP").
-    dp_rank:
-        PowerSGD rank for data-parallel gradient compression (paper default: 128).
-    dp_codec:
-        Codec applied to the selected stages' DP gradients — same vocabulary as the
-        engine (:data:`DP_CODECS`): ``"powersgd"`` (paper default), ``"qsgd"``,
-        ``"topk"``, or ``"none"`` (exact all-reduce even on selected stages).
-    dp_qsgd_bits:
-        Quantisation bits when ``dp_codec == "qsgd"``.
-    dp_topk_fraction:
-        Kept fraction when ``dp_codec == "topk"``.
-    fuse_embedding:
-        Enable fused embedding synchronisation (FE).
-    """
-
-    compress_backward: bool = False
-    backward_rank: int = 16
-    backward_epilogue_only: bool = True
-    compress_forward: bool = False
-    dp_compressed_stage_fraction: float = 0.0
-    dp_rank: int = 128
-    dp_codec: str = "powersgd"
-    dp_qsgd_bits: int = 4
-    dp_topk_fraction: float = 0.01
-    fuse_embedding: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.dp_compressed_stage_fraction <= 1.0:
-            raise ValueError("dp_compressed_stage_fraction must be in [0, 1]")
-        if self.backward_rank <= 0 or self.dp_rank <= 0:
-            raise ValueError("compression ranks must be positive")
-        if self.dp_codec not in DP_CODECS:
-            raise ValueError(f"dp_codec must be one of {DP_CODECS}, got {self.dp_codec!r}")
-        if not 1 <= self.dp_qsgd_bits <= 8:
-            raise ValueError("dp_qsgd_bits must be in [1, 8]")
-        if not 0.0 < self.dp_topk_fraction <= 1.0:
-            raise ValueError("dp_topk_fraction must be in (0, 1]")
-
-    # -- named configurations used across the benchmarks -------------------------
-
-    @classmethod
-    def baseline(cls) -> "CompressionPlan":
-        """No compression (Megatron-LM baseline)."""
-        return cls()
-
-    @classmethod
-    def cb(cls, rank: int = 16) -> "CompressionPlan":
-        """Compressed backpropagation only (epilogue-only, with LEP implied)."""
-        return cls(compress_backward=True, backward_rank=rank)
-
-    @classmethod
-    def cb_fe(cls, rank: int = 16) -> "CompressionPlan":
-        """CB + fused embedding synchronisation."""
-        return cls(compress_backward=True, backward_rank=rank, fuse_embedding=True)
-
-    @classmethod
-    def cb_fe_sc(
-        cls, cb_rank: int = 16, dp_rank: int = 128, stage_fraction: float = 0.75
-    ) -> "CompressionPlan":
-        """Full Optimus-CC: CB + FE + selective stage compression (paper default 75 %)."""
-        return cls(
-            compress_backward=True,
-            backward_rank=cb_rank,
-            fuse_embedding=True,
-            dp_compressed_stage_fraction=stage_fraction,
-            dp_rank=dp_rank,
-        )
-
-    @classmethod
-    def naive_dp(cls, dp_rank: int = 128) -> "CompressionPlan":
-        """Naive data-parallel compression of every stage (motivational 'naive DP')."""
-        return cls(dp_compressed_stage_fraction=1.0, dp_rank=dp_rank)
-
-    @classmethod
-    def naive_cb(cls, rank: int = 16) -> "CompressionPlan":
-        """Naive compressed backpropagation on every transfer (no epilogue-only)."""
-        return cls(compress_backward=True, backward_rank=rank, backward_epilogue_only=False)
-
-    @classmethod
-    def from_engine_config(cls, engine_config, **overrides) -> "CompressionPlan":
-        """Translate an engine DP-compression block into a simulator plan.
-
-        Maps the DP-boundary fields of
-        :class:`repro.core.config.EngineCompressionConfig` (codec, rank, bits,
-        kept fraction, selected stage fraction) onto the plan so a simulated run
-        describes its DP traffic with the same vocabulary the engine measures it
-        in.  Pipeline-boundary fields (CB, FE) default to off and can be supplied
-        through ``overrides``.
-        """
-        return cls(
-            dp_compressed_stage_fraction=(
-                engine_config.dp_stage_fraction if engine_config.dp_codec != "none" else 0.0
-            ),
-            dp_rank=engine_config.dp_rank,
-            dp_codec=engine_config.dp_codec,
-            dp_qsgd_bits=engine_config.dp_qsgd_bits,
-            dp_topk_fraction=engine_config.dp_topk_fraction,
-            **overrides,
-        )
-
-    @classmethod
-    def from_plan(cls, plan: ParallelPlan) -> "CompressionPlan":
-        """Derive the simulator's view from a declarative :class:`~repro.plan.ParallelPlan`.
-
-        This is the simulator half of the single-source-of-truth contract: the
-        unified engine derives its DP block from the same plan
-        (:meth:`repro.plan.ParallelPlan.engine_config`), so engine-measured and
-        simulated traffic provably describe the same codec, rank, bits, and
-        kept/stage fractions per boundary (asserted by the cross-layer parity
-        test in ``tests/test_plan.py``).
-        """
-        pp = plan.spec(Boundary.PP)
-        dp = plan.spec(Boundary.DP)
-        embedding = plan.spec(Boundary.EMBEDDING)
-        return cls(
-            compress_backward=pp.compresses,
-            backward_rank=pp.rank,
-            backward_epilogue_only=pp.epilogue_only,
-            compress_forward=pp.compress_forward,
-            dp_compressed_stage_fraction=dp.stage_fraction if dp.compresses else 0.0,
-            dp_rank=dp.rank,
-            dp_codec=dp.codec if dp.compresses else "powersgd",
-            dp_qsgd_bits=dp.bits,
-            dp_topk_fraction=dp.fraction,
-            fuse_embedding=embedding.codec == "fused",
-        )
-
-    def compressed_dp_stages(self, num_stages: int) -> set[int]:
-        """Stages whose DP traffic is compressed (earliest first, per Fig. 8)."""
-        if self.dp_codec == "none":
-            return set()
-        count = int(round(self.dp_compressed_stage_fraction * num_stages))
-        count = min(count, num_stages)
-        return set(range(count))
-
-    def describe(self) -> str:
-        """Short label such as ``"CB+FE+SC"`` for reports."""
-        parts = []
-        if self.compress_backward:
-            parts.append("CB" if self.backward_epilogue_only else "CB(naive)")
-        if self.fuse_embedding:
-            parts.append("FE")
-        if self.dp_compressed_stage_fraction > 0 and self.dp_codec != "none":
-            codec = "" if self.dp_codec == "powersgd" else f"[{self.dp_codec}]"
-            if self.dp_compressed_stage_fraction >= 1.0:
-                parts.append(f"DP(all){codec}")
-            else:
-                parts.append(f"SC({self.dp_compressed_stage_fraction:.0%}){codec}")
-        return "+".join(parts) if parts else "Baseline"
 
 
 @dataclass
@@ -308,18 +138,27 @@ class IterationTiming:
 
 
 class PipelineTimingSimulator:
-    """Replays the pipeline schedule with communication and compression costs."""
+    """Replays the pipeline schedule with communication and compression costs.
+
+    ``job`` owns the shape (layout, micro-batches, schedule kind); ``plan``
+    contributes the compression specs of its three boundaries.  Without a plan
+    nothing is compressed.
+    """
 
     def __init__(
         self,
         job: TrainingJob,
-        plan: CompressionPlan | None = None,
+        plan: ParallelPlan | None = None,
         toggles: ComponentToggles | None = None,
     ) -> None:
         self.job = job
         self.cost = CostModel(job)
-        self.plan = plan if plan is not None else CompressionPlan.baseline()
+        self.plan = plan if plan is not None else ParallelPlan()
         self.toggles = toggles if toggles is not None else ComponentToggles()
+        #: The engine's selective-stage rule, so both layers compress the same stages.
+        self.compressed_dp_stages = compressed_stages_of(
+            self.plan.spec(Boundary.DP), job.num_stages
+        )
 
     # -- helpers --------------------------------------------------------------------
 
@@ -353,15 +192,12 @@ class PipelineTimingSimulator:
             epilogue.append(stage_set)
         return epilogue
 
-    def _transfer(
-        self, compressed: bool
-    ) -> tuple[float, float, float]:
+    def _transfer(self, compressed: bool, rank: int) -> tuple[float, float, float]:
         """Return ``(delay_seconds, wire_bytes, compression_overhead)`` of a transfer."""
-        plan = self.plan
         overhead = 0.0
         if compressed:
-            wire = self.cost.compressed_activation_bytes(plan.backward_rank)
-            overhead = self.cost.activation_compression_overhead(plan.backward_rank)
+            wire = self.cost.compressed_activation_bytes(rank)
+            overhead = self.cost.activation_compression_overhead(rank)
         else:
             wire = self.cost.interstage_message_bytes()
         delay = self.cost.p2p_time(wire) * self.toggles.interstage + overhead
@@ -389,7 +225,15 @@ class PipelineTimingSimulator:
         num_stages = self.job.num_stages
         num_micro = self.job.num_micro_batches
         chunks = self.job.num_model_chunks if num_stages > 1 else 1
-        plan = self.plan
+        # Every boundary knob is read once here, never per op.
+        pp = self.plan.spec(Boundary.PP)
+        dp = self.plan.spec(Boundary.DP)
+        fuse_embedding = self.plan.spec(Boundary.EMBEDDING).codec == "fused"
+        compress_backward = pp.compresses
+        epilogue_only = pp.epilogue_only
+        plain_transfer = self._transfer(False, pp.rank)
+        compressed_transfer = self._transfer(True, pp.rank)
+        forward_transfer = compressed_transfer if pp.compress_forward else plain_transfer
         schedule = self._build_schedule()
         epilogue_sets = self._epilogue_sets(schedule)
 
@@ -471,8 +315,7 @@ class PipelineTimingSimulator:
                     if op.kind == "forward":
                         consumer = forward_consumer(stage, op.micro_batch, op.chunk)
                         if consumer is not None:
-                            compressed = plan.compress_forward
-                            delay, wire, overhead = self._transfer(compressed)
+                            delay, wire, overhead = forward_transfer
                             forward_arrival[consumer] = end + delay
                             interstage_wire_total += wire
                             compression_overhead_total += overhead
@@ -486,8 +329,8 @@ class PipelineTimingSimulator:
                         if consumer is not None:
                             receiving_stage = consumer[0]
                             compressed = False
-                            if plan.compress_backward:
-                                if plan.backward_epilogue_only:
+                            if compress_backward:
+                                if epilogue_only:
                                     compressed = (
                                         (op.micro_batch, op.chunk)
                                         in epilogue_sets[receiving_stage]
@@ -497,7 +340,9 @@ class PipelineTimingSimulator:
                                     )
                                 else:
                                     compressed = True
-                            delay, wire, overhead = self._transfer(compressed)
+                            delay, wire, overhead = (
+                                compressed_transfer if compressed else plain_transfer
+                            )
                             backward_arrival[consumer] = end + delay
                             interstage_wire_total += wire
                             compression_overhead_total += overhead
@@ -523,7 +368,7 @@ class PipelineTimingSimulator:
             bubble_fraction = 0.0
 
         # ---------------- data-parallel gradient all-reduce -----------------------
-        compressed_stages = plan.compressed_dp_stages(num_stages)
+        compressed_stages = self.compressed_dp_stages
         dp_times = []
         dp_wires = []
         dp_wire_total = 0.0
@@ -532,15 +377,13 @@ class PipelineTimingSimulator:
             if stage in compressed_stages and self.job.layout.data_parallel > 1:
                 dp_wire = self.cost.dp_compressed_gradient_bytes(
                     stage,
-                    plan.dp_rank,
-                    codec=plan.dp_codec,
-                    qsgd_bits=plan.dp_qsgd_bits,
-                    topk_fraction=plan.dp_topk_fraction,
+                    dp.rank,
+                    codec=dp.codec,
+                    qsgd_bits=dp.bits,
+                    topk_fraction=dp.fraction,
                 )
                 dp_time = self.cost.collective_time(dp_wire)
-                dp_overhead = self.cost.dp_compression_overhead(
-                    stage, plan.dp_rank, codec=plan.dp_codec
-                )
+                dp_overhead = self.cost.dp_compression_overhead(stage, dp.rank, codec=dp.codec)
             else:
                 dp_time = self.cost.dp_time(stage)
                 dp_overhead = 0.0
@@ -600,7 +443,7 @@ class PipelineTimingSimulator:
                 stage_finish[0] += extra
                 embedding_time = extra
                 embedding_wire = self.cost.embedding_gradient_bytes() * self.toggles.embedding
-        elif plan.fuse_embedding:
+        elif fuse_embedding:
             # The fused all-reduce is issued as soon as both embedding gradients are
             # ready.  The last stage (whose backward drains early) runs its bulk DP
             # all-reduce inside that waiting window; the first stage performs the
@@ -630,7 +473,7 @@ class PipelineTimingSimulator:
         # iteration period is therefore the largest finish time minus that slack —
         # this is why the data-parallel traffic of *later* stages can stay
         # uncompressed under selective stage compression (Section 7, Fig. 8).
-        forward_delay, _, _ = self._transfer(compressed=plan.compress_forward)
+        forward_delay = forward_transfer[0]
         warmup_offset = [0.0] * num_stages
         for stage in range(1, num_stages):
             warmup_offset[stage] = warmup_offset[stage - 1] + forward_times[stage - 1] + forward_delay
@@ -676,15 +519,3 @@ class PipelineTimingSimulator:
             schedule_kind=self.job.schedule_kind,
             recovery_overhead=recovery_overhead,
         )
-
-
-def simulate_plan(
-    job: TrainingJob,
-    plan: CompressionPlan,
-    resilience_overhead_s: float = 0.0,
-    respawns: float = 0.0,
-) -> IterationTiming:
-    """Convenience wrapper: simulate one iteration of ``job`` under ``plan``."""
-    return PipelineTimingSimulator(job, plan).run(
-        resilience_overhead_s=resilience_overhead_s, respawns=respawns
-    )

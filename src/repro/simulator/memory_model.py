@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.selective_stage import compressed_stages_of
 from repro.parallel.pipeline_schedule import count_in_flight_micro_batches
 from repro.parallel.scheduler import stage_memory_profile
-from repro.plan import SPLIT_BACKWARD_KINDS
+from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, ParallelPlan
 from repro.simulator.cost_model import (
     ACTIVATION_BYTES_PER_TOKEN_HIDDEN,
     BYTES_PER_PARAMETER_WITH_OPTIMIZER,
@@ -32,7 +33,7 @@ from repro.simulator.cost_model import (
     CostModel,
     TrainingJob,
 )
-from repro.simulator.executor import CompressionPlan, build_job_schedule
+from repro.simulator.executor import build_job_schedule
 
 __all__ = [
     "ACTIVATION_BYTES_PER_TOKEN_HIDDEN",
@@ -80,9 +81,13 @@ class MemoryReport:
 class MemoryModel:
     """Estimates the peak memory of each pipeline stage under a compression plan."""
 
-    def __init__(self, job: TrainingJob, plan: CompressionPlan | None = None) -> None:
+    def __init__(self, job: TrainingJob, plan: ParallelPlan | None = None) -> None:
         self.job = job
-        self.plan = plan if plan is not None else CompressionPlan.baseline()
+        plan = plan if plan is not None else ParallelPlan()
+        self.pp = plan.spec(Boundary.PP)
+        self.dp = plan.spec(Boundary.DP)
+        #: The engine's selective-stage rule, so both layers compress the same stages.
+        self.compressed_dp_stages = compressed_stages_of(self.dp, job.num_stages)
         self.cost = CostModel(job)
         #: Per-stage ``(peak in-flight activations, peak pending W stashes)``
         #: of the split-backward op lists; ``None`` until first needed (and
@@ -125,24 +130,23 @@ class MemoryModel:
         that accounts for its 5-10 % overhead (Fig. 12).  Selective stage compression
         adds per-weight-matrix ``P``/``Q`` factors on the compressed stages.
         """
-        plan = self.plan
         total = 0.0
-        if plan.compress_backward and self.job.num_stages > 1:
+        if self.pp.compresses and self.job.num_stages > 1:
             rows = self.job.micro_batch_size * self.job.seq_length
             cols = self.job.model.hidden_size
-            rank = max(1, min(plan.backward_rank, rows, cols))
+            rank = max(1, min(self.pp.rank, rows, cols))
             in_flight, _ = self._stage_memory_profile(stage)
             total += in_flight * rows * cols * 4  # fp32 staging buffers
             total += rank * (rows + cols) * 4 * 2  # P and Q, previous Q kept for reuse
-        if stage in plan.compressed_dp_stages(self.job.num_stages):
+        if stage in self.compressed_dp_stages:
             for rows, cols in self.cost.stage_weight_matrices(stage):
-                rank = max(1, min(plan.dp_rank, rows, cols))
+                rank = max(1, min(self.dp.rank, rows, cols))
                 total += rank * (rows + cols) * 4 * 2 / self.job.layout.tensor_parallel
         return total
 
     def _lazy_error_bytes(self, stage: int, lazy_error: bool) -> float:
         """Residual storage added by lazy error propagation (one buffer per boundary)."""
-        if not lazy_error or not self.plan.compress_backward or self.job.num_stages <= 1:
+        if not lazy_error or not self.pp.compresses or self.job.num_stages <= 1:
             return 0.0
         elements = self.job.micro_batch_size * self.job.seq_length * self.job.model.hidden_size
         return elements * 4.0  # fp32 residual of the previous micro-batch

@@ -107,7 +107,7 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "iteration": trainer._iteration,
         "optimizer_steps": [optimizer._step_count for optimizer in trainer.optimizers],
-        "config": trainer.optimus_config.describe(),
+        "config": trainer.plan.stack_label(),
         "topology": {
             "num_stages": trainer.num_stages,
             "data_parallel_degree": len(trainer.engine.arenas),
@@ -162,7 +162,7 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
                 f"unsupported checkpoint format {version!r} "
                 f"(expected {CHECKPOINT_FORMAT_VERSION}){detail}"
             )
-        live_config = trainer.optimus_config.describe()
+        live_config = trainer.plan.stack_label()
         if header.get("config") != live_config:
             raise ValueError(
                 f"checkpoint was written by configuration {header.get('config')!r}, "

@@ -8,11 +8,10 @@ import pytest
 
 from repro.compression import AdaCompCompressor, QSGDCompressor, relative_error
 from repro.core.autotune import SelectiveCompressionAutoTuner
-from repro.core.config import OptimusCCConfig
 from repro.experiments.discussion_accelerators import run_accelerator_comparison
 from repro.models import GPT_2_5B, GPT_8_3B
+from repro.plan import PLAN_PRESETS, Boundary, ParallelPlan
 from repro.simulator import TrainingJob
-from repro.simulator.executor import CompressionPlan
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Pretrainer
 from repro import cli
@@ -81,10 +80,62 @@ class TestAdaComp:
             AdaCompCompressor(sensitivity=0.0)
 
 
+def probe_plan(num_stages=2, base=None):
+    """``base`` (default: the baseline) on the shared ``loader`` fixture's topology."""
+    base = base if base is not None else ParallelPlan.baseline()
+    return base.with_topology(pp=num_stages, dp=2, micro_batches=2)
+
+
+#: The checkpoint header's configuration label of every preset, plus the two
+#: non-PowerSGD DP codecs, whose selective compression counts as SC too.
+CHECKPOINT_LABELS = {
+    "baseline": "Baseline",
+    "cb": "CB",
+    "cb_non_lep": "CB(Non-LEP)",
+    "naive_cb": "CB(naive)",
+    "cb_fe": "CB+FE",
+    "cb_fe_sc": "CB+FE+SC",
+    "naive_dp": "DP(all)",
+    "optimus_topk": "CB(TopK)+FE+SC",
+    "zb1": "Baseline",
+    "auto": "Baseline",
+    "cb_fe_sc+qsgd": "CB+FE+SC",
+    "cb_fe_sc+topk": "CB+FE+SC",
+}
+
+
+def labelled_plan(name):
+    if "+" in name:
+        preset, codec = name.split("+")
+        return ParallelPlan.preset(preset).with_boundary(Boundary.DP, codec=codec)
+    return ParallelPlan.preset(name)
+
+
 class TestCheckpointing:
+    def test_label_table_covers_every_preset(self):
+        assert set(PLAN_PRESETS) < set(CHECKPOINT_LABELS)
+
+    @pytest.mark.parametrize("name", sorted(CHECKPOINT_LABELS))
+    def test_header_label_is_the_plans_stack_label(self, name, small_config, loader, tmp_path):
+        import json
+
+        plan = probe_plan(base=labelled_plan(name))
+        assert plan.stack_label() == CHECKPOINT_LABELS[name]
+        trainer = Pretrainer(small_config, loader, plan, seed=3)
+        path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
+        with np.load(path) as archive:
+            header = json.loads(bytes(archive["__header__"].tobytes()).decode("utf-8"))
+        assert header["config"] == CHECKPOINT_LABELS[name]
+
+    def test_label_mismatch_rejected(self, small_config, loader, tmp_path):
+        trainer = Pretrainer(small_config, loader, probe_plan(), seed=3)
+        path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
+        other = Pretrainer(small_config, loader, probe_plan(base=ParallelPlan.cb()), seed=3)
+        with pytest.raises(ValueError, match="configuration"):
+            load_checkpoint(other, path)
+
     def test_save_and_resume_reproduces_training(self, small_config, loader, tmp_path):
-        trainer = Pretrainer(small_config, loader, num_stages=2,
-                             optimus_config=OptimusCCConfig.baseline(), learning_rate=2e-3, seed=3)
+        trainer = Pretrainer(small_config, loader, probe_plan(), learning_rate=2e-3, seed=3)
         trainer.train_iteration()
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
@@ -93,27 +144,26 @@ class TestCheckpointing:
         reference_loss = trainer.train_iteration()
 
         # Restore into a freshly constructed trainer and continue from the checkpoint.
-        resumed = Pretrainer(small_config, loader, num_stages=2,
-                             optimus_config=OptimusCCConfig.baseline(), learning_rate=2e-3, seed=99)
+        resumed = Pretrainer(small_config, loader, probe_plan(), learning_rate=2e-3, seed=99)
         iteration = load_checkpoint(resumed, path)
         assert iteration == 2
         resumed_loss = resumed.train_iteration()
         assert resumed_loss == pytest.approx(reference_loss, rel=1e-9)
 
     def test_history_restored(self, small_config, loader, tmp_path):
-        trainer = Pretrainer(small_config, loader, num_stages=2, learning_rate=2e-3, seed=3)
+        trainer = Pretrainer(small_config, loader, probe_plan(), learning_rate=2e-3, seed=3)
         trainer.train(num_iterations=2, validation_interval=1)
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
-        other = Pretrainer(small_config, loader, num_stages=2, learning_rate=2e-3, seed=4)
+        other = Pretrainer(small_config, loader, probe_plan(), learning_rate=2e-3, seed=4)
         load_checkpoint(other, path)
         assert other.history.train_losses == trainer.history.train_losses
         assert len(other.history.validation_points) == len(trainer.history.validation_points)
 
     def test_mismatched_trainer_rejected(self, small_config, loader, tmp_path):
-        trainer = Pretrainer(small_config, loader, num_stages=2, learning_rate=2e-3, seed=3)
+        trainer = Pretrainer(small_config, loader, probe_plan(), learning_rate=2e-3, seed=3)
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
-        mismatched = Pretrainer(small_config, loader, num_stages=1, learning_rate=2e-3, seed=3)
+        mismatched = Pretrainer(small_config, loader, probe_plan(1), learning_rate=2e-3, seed=3)
         # Format v2 validates the pipeline/DP topology before touching any
         # weights, so the mismatch fails loudly up front.
         with pytest.raises(ValueError, match="topology"):
@@ -143,14 +193,14 @@ class TestAutoTuner:
     def test_best_plan_reflects_choice(self, tuner):
         result = tuner.tune(budget=1.0)
         plan = result.best_plan()
-        assert plan.dp_compressed_stage_fraction == result.best.stage_fraction
-        assert plan.dp_rank == result.best.dp_rank
+        assert plan.spec(Boundary.DP).stage_fraction == result.best.stage_fraction
+        assert plan.spec(Boundary.DP).rank == result.best.dp_rank
         assert "auto-tuning" in result.render().lower()
 
     def test_quality_evaluator_breaks_ties(self, tuner):
         # A quality evaluator that prefers the least aggressive plan.
-        def evaluator(plan: CompressionPlan) -> float:
-            return plan.dp_compressed_stage_fraction
+        def evaluator(plan: ParallelPlan) -> float:
+            return plan.spec(Boundary.DP).stage_fraction
 
         result = tuner.tune(budget=1.0, quality_evaluator=evaluator, shortlist_size=3)
         shortlist_fractions = [c.stage_fraction for c in result.candidates if c.quality_score is not None]

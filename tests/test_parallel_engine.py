@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
 from repro.nn.transformer import GPTModelConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 from repro.nn import CrossEntropyLoss, GPTModel
@@ -32,15 +31,17 @@ from repro.parallel.engine import (
 from repro.parallel.pipeline_engine import WIRE_BYTES_PER_ELEMENT
 
 
-def make_engine(config, optimus=None, engine_config=None, num_stages=2, dp=2, seed=0, **kwargs):
-    return ThreeDParallelEngine(
-        config,
-        num_stages=num_stages,
-        data_parallel_degree=dp,
-        optimus_config=optimus if optimus is not None else OptimusCCConfig.baseline(),
-        engine_config=engine_config,
-        seed=seed,
-        **kwargs,
+def make_engine(config, plan=None, num_stages=2, dp=2, seed=0):
+    plan = plan if plan is not None else ParallelPlan.baseline()
+    return ThreeDParallelEngine(config, plan.with_topology(pp=num_stages, dp=dp), seed=seed)
+
+
+def dp_plan(codec="none", tp=1, overlap=True, dp_fire="stage", **dp_knobs):
+    """A plan that compresses only the DP boundary (PP and embedding exact)."""
+    return ParallelPlan(
+        topology=Topology(tp=tp),
+        schedule=Schedule(kind="1f1b" if overlap else "serial", dp_fire=dp_fire),
+        compression={Boundary.DP: CompressionSpec(codec=codec, **dp_knobs)},
     )
 
 
@@ -125,7 +126,7 @@ class TestGradientParity:
         """The 'none' codec routes through the same all-reduce as the raw sync."""
         engine = make_engine(
             tiny_config,
-            engine_config=EngineCompressionConfig.uncompressed(),
+            dp_plan(),
             num_stages=2,
             dp=2,
             seed=9,
@@ -138,7 +139,7 @@ class TestGradientParity:
     def test_tensor_parallel_split_is_verified_and_logged(self, tiny_config, rng):
         engine = make_engine(
             tiny_config,
-            engine_config=EngineCompressionConfig.uncompressed(tensor_parallel_degree=2),
+            dp_plan(tp=2),
             num_stages=2,
             dp=1,
             seed=2,
@@ -152,10 +153,7 @@ class TestGradientParity:
 
     def test_indivisible_tensor_parallel_degree_rejected(self, tiny_config):
         with pytest.raises(ValueError):
-            make_engine(
-                tiny_config,
-                engine_config=EngineCompressionConfig.uncompressed(tensor_parallel_degree=3),
-            )
+            make_engine(tiny_config, dp_plan(tp=3))
 
 
 class TestErrorFeedbackConvergence:
@@ -163,14 +161,14 @@ class TestErrorFeedbackConvergence:
     def test_accumulated_delivery_tracks_accumulated_gradient(self, codec, rng):
         """Classic EF guarantee: sum(delivered) = sum(sent) - final residual, so
         the delivery error never accumulates beyond one step's residual."""
-        config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_rank=2,
-            dp_topk_fraction=0.1,
-            dp_stage_fraction=1.0,
-            min_compression_elements=16,
+        spec = CompressionSpec(
+            codec=codec,
+            rank=2,
+            fraction=0.1,
+            stage_fraction=1.0,
+            min_elements=16,
         )
-        reducer = CompressedGradientAllReduce(config, num_stages=1, seed=0)
+        reducer = CompressedGradientAllReduce(spec, num_stages=1, seed=0)
         log = CommunicationLog()
         from repro.parallel.collectives import SimulatedProcessGroup
 
@@ -204,35 +202,28 @@ class TestErrorFeedbackConvergence:
         """QSGD/top-k DP compression trains end-to-end with replicas in lockstep."""
         from repro.training.trainer import Pretrainer
 
-        engine_config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_qsgd_bits=6,
-            dp_topk_fraction=0.2,
-            dp_stage_fraction=1.0,
-            min_compression_elements=64,
-        )
-        trainer = Pretrainer(
-            small_config,
-            loader,
-            num_stages=2,
-            engine_config=engine_config,
-            learning_rate=2e-3,
-            seed=1,
-        )
+        plan = dp_plan(
+            codec,
+            bits=6,
+            fraction=0.2,
+            stage_fraction=1.0,
+            min_elements=64,
+        ).with_topology(pp=2, dp=2, micro_batches=2)
+        trainer = Pretrainer(small_config, loader, plan, learning_rate=2e-3, seed=1)
         losses = [trainer.train_iteration() for _ in range(6)]
         assert trainer.weights_in_sync()
         assert min(losses) < losses[0]
         assert trainer.engine.dp_reduce.bytes_saved_fraction() > 0.2
 
     def test_disabling_error_feedback_drops_residual_state(self, rng):
-        config = EngineCompressionConfig(
-            dp_codec="topk",
-            dp_topk_fraction=0.1,
-            dp_error_feedback=False,
-            dp_stage_fraction=1.0,
-            min_compression_elements=16,
+        spec = CompressionSpec(
+            codec="topk",
+            fraction=0.1,
+            error_feedback=False,
+            stage_fraction=1.0,
+            min_elements=16,
         )
-        reducer = CompressedGradientAllReduce(config, num_stages=1, seed=0)
+        reducer = CompressedGradientAllReduce(spec, num_stages=1, seed=0)
         log = CommunicationLog()
         from repro.parallel.collectives import SimulatedProcessGroup
 
@@ -255,7 +246,7 @@ class TestTrafficAccounting:
     def test_compressed_backprop_shrinks_only_epilogue_boundaries(self, small_config, rng):
         baseline = make_engine(small_config, num_stages=2, dp=1, seed=0)
         compressed = make_engine(
-            small_config, optimus=OptimusCCConfig.cb(rank=2), num_stages=2, dp=1, seed=0
+            small_config, ParallelPlan.cb(rank=2), num_stages=2, dp=1, seed=0
         )
         batches = make_batches(small_config, rng, replicas=1, micro_batches=4)
         base = baseline.run_iteration(batches)
@@ -275,7 +266,7 @@ class TestTrafficAccounting:
     ):
         engine = make_engine(
             small_config,
-            optimus=OptimusCCConfig.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5),
+            ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5),
             num_stages=2,
             dp=2,
             seed=0,
@@ -311,7 +302,7 @@ class TestTrafficAccounting:
         tp = 2
         engine = make_engine(
             tiny_config,
-            engine_config=EngineCompressionConfig.uncompressed(tensor_parallel_degree=tp),
+            dp_plan(tp=tp),
             num_stages=2,
             dp=2,
             seed=0,
@@ -334,8 +325,8 @@ class TestTrafficAccounting:
 
     def test_fused_embedding_moves_fewer_bytes_than_baseline(self, small_config, rng):
         batches = make_batches(small_config, rng)
-        plain = make_engine(small_config, optimus=OptimusCCConfig.baseline(), seed=0)
-        fused = make_engine(small_config, optimus=OptimusCCConfig.cb_fe(rank=2), seed=0)
+        plain = make_engine(small_config, ParallelPlan.baseline(), seed=0)
+        fused = make_engine(small_config, ParallelPlan.cb_fe(rank=2), seed=0)
         plain_result = plain.run_iteration(batches)
         fused_result = fused.run_iteration(batches)
         assert (
@@ -383,18 +374,8 @@ class TestOverlappedDataParallel:
         """Compression off: the bucketed overlapped path and the serial
         per-parameter epilogue produce bit-for-bit identical weights."""
         batches = make_batches(small_config, rng)
-        overlapped = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(
-                dp_overlap=True, dp_bucket_bytes=2048
-            ),
-            seed=5,
-        )
-        serial = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-            seed=5,
-        )
+        overlapped = make_engine(small_config, dp_plan(bucket_bytes=2048), seed=5)
+        serial = make_engine(small_config, dp_plan(overlap=False), seed=5)
         self._train(overlapped, batches)
         self._train(serial, batches)
         for over_param, serial_param in zip(overlapped.parameters(), serial.parameters()):
@@ -411,23 +392,18 @@ class TestOverlappedDataParallel:
         same per-tensor keys, RNG streams, and error-feedback math, so three
         iterations of training end bit-for-bit identical."""
         batches = make_batches(small_config, rng)
-        engine_config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_rank=2,
-            dp_qsgd_bits=4,
-            dp_topk_fraction=0.2,
-            dp_stage_fraction=1.0,
-            dp_error_feedback=error_feedback,
-            min_compression_elements=64,
+        knobs = dict(
+            rank=2,
+            bits=4,
+            fraction=0.2,
+            stage_fraction=1.0,
+            error_feedback=error_feedback,
+            min_elements=64,
         )
         overlapped = make_engine(
-            small_config,
-            engine_config=engine_config.with_(dp_overlap=True, dp_bucket_bytes=2048),
-            seed=4,
+            small_config, dp_plan(codec, bucket_bytes=2048, **knobs), seed=4
         )
-        serial = make_engine(
-            small_config, engine_config=engine_config.with_(dp_overlap=False), seed=4
-        )
+        serial = make_engine(small_config, dp_plan(codec, overlap=False, **knobs), seed=4)
         self._train(overlapped, batches)
         self._train(serial, batches)
         for over_param, serial_param in zip(overlapped.parameters(), serial.parameters()):
@@ -437,18 +413,9 @@ class TestOverlappedDataParallel:
     def test_selective_stage_fraction_respected_on_bucketed_path(self, small_config, rng):
         """stage_fraction=0.5 on PP2: stage 0 compressed per bucket, stage 1 exact."""
         batches = make_batches(small_config, rng)
-        engine_config = EngineCompressionConfig(
-            dp_codec="powersgd",
-            dp_rank=2,
-            dp_stage_fraction=0.5,
-            min_compression_elements=64,
-        )
-        overlapped = make_engine(
-            small_config, engine_config=engine_config.with_(dp_overlap=True), seed=4
-        )
-        serial = make_engine(
-            small_config, engine_config=engine_config.with_(dp_overlap=False), seed=4
-        )
+        knobs = dict(rank=2, stage_fraction=0.5, min_elements=64)
+        overlapped = make_engine(small_config, dp_plan("powersgd", **knobs), seed=4)
+        serial = make_engine(small_config, dp_plan("powersgd", overlap=False, **knobs), seed=4)
         over_result = self._train(overlapped, batches)[-1]
         self._train(serial, batches)
         for over_param, serial_param in zip(overlapped.parameters(), serial.parameters()):
@@ -463,20 +430,17 @@ class TestOverlappedDataParallel:
         """dp_fire='micro_batch' must leave weights bit-identical to the stage
         granularity (and to serial); only the overlapped fraction may move."""
         batches = make_batches(small_config, rng)
-        engine_config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_rank=2,
-            dp_qsgd_bits=4,
-            dp_topk_fraction=0.2,
-            dp_stage_fraction=1.0,
-            min_compression_elements=64,
-            dp_bucket_bytes=2048,
+        knobs = dict(
+            rank=2,
+            bits=4,
+            fraction=0.2,
+            stage_fraction=1.0,
+            min_elements=64,
+            bucket_bytes=2048,
         )
-        stage_fire = make_engine(
-            small_config, engine_config=engine_config.with_(dp_fire="stage"), seed=6
-        )
+        stage_fire = make_engine(small_config, dp_plan(codec, dp_fire="stage", **knobs), seed=6)
         micro_fire = make_engine(
-            small_config, engine_config=engine_config.with_(dp_fire="micro_batch"), seed=6
+            small_config, dp_plan(codec, dp_fire="micro_batch", **knobs), seed=6
         )
         stage_results = self._train(stage_fire, batches)
         micro_results = self._train(micro_fire, batches)
@@ -499,11 +463,7 @@ class TestOverlappedDataParallel:
     def test_micro_batch_fire_exposes_exactly_one_bucket(self, small_config, rng):
         batches = make_batches(small_config, rng)
         engine = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(
-                dp_fire="micro_batch", dp_bucket_bytes=1024
-            ),
-            seed=0,
+            small_config, dp_plan(dp_fire="micro_batch", bucket_bytes=1024), seed=0
         )
         engine.run_iteration(batches)
         dp_records = [r for r in engine.log.records if r.category == "data_parallel"]
@@ -515,18 +475,8 @@ class TestOverlappedDataParallel:
         """Accounting property: per-stage bucketed payload/original bytes equal the
         serial path's per-parameter accounting exactly."""
         batches = make_batches(small_config, rng)
-        overlapped = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(
-                dp_overlap=True, dp_bucket_bytes=1024
-            ),
-            seed=0,
-        )
-        serial = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-            seed=0,
-        )
+        overlapped = make_engine(small_config, dp_plan(bucket_bytes=1024), seed=0)
+        serial = make_engine(small_config, dp_plan(overlap=False), seed=0)
         over_result = overlapped.run_iteration(batches)
         serial_result = serial.run_iteration(batches)
         assert set(over_result.dp_stage_traffic) == set(serial_result.dp_stage_traffic)
@@ -548,12 +498,7 @@ class TestOverlappedDataParallel:
         """Late stages' buckets are issued inside the cool-down (overlapped);
         stage 0 drains last, so its traffic is exposed."""
         batches = make_batches(small_config, rng)
-        engine = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed(),
-            num_stages=2,
-            seed=0,
-        )
+        engine = make_engine(small_config, dp_plan(), num_stages=2, seed=0)
         result = engine.run_iteration(batches)
         dp_records = [r for r in engine.log.records if r.category == "data_parallel"]
         assert dp_records
@@ -569,11 +514,7 @@ class TestOverlappedDataParallel:
 
     def test_serial_epilogue_reports_everything_exposed(self, small_config, rng):
         batches = make_batches(small_config, rng)
-        engine = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-            seed=0,
-        )
+        engine = make_engine(small_config, dp_plan(overlap=False), seed=0)
         result = engine.run_iteration(batches)
         assert result.dp_overlapped_wire_bytes == 0.0
         assert result.dp_exposed_wire_bytes == pytest.approx(
@@ -585,13 +526,7 @@ class TestOverlappedDataParallel:
         batches = make_batches(small_config, rng)
 
         def dp_message_count(bucket_bytes):
-            engine = make_engine(
-                small_config,
-                engine_config=EngineCompressionConfig.uncompressed().with_(
-                    dp_bucket_bytes=bucket_bytes
-                ),
-                seed=0,
-            )
+            engine = make_engine(small_config, dp_plan(bucket_bytes=bucket_bytes), seed=0)
             result = engine.run_iteration(batches)
             messages = sum(t.all_reduces for t in result.dp_stage_traffic.values())
             payload = sum(t.payload_bytes for t in result.dp_stage_traffic.values())

@@ -78,6 +78,37 @@ class TestTrafficAccounting:
         assert result.backward_bytes == 0
         assert log.count() == 0
 
+    @pytest.mark.parametrize("kind", ["1f1b", "zb1"])
+    def test_byte_counts_never_scan_the_log(self, rng, monkeypatch, kind):
+        """The iteration adds up its own transfers: no scan of the (growing) log."""
+        from repro.core.compressed_backprop import CompressedBackpropagation
+        from repro.nn.transformer import GPTModelConfig
+
+        config = GPTModelConfig(
+            vocab_size=32, max_sequence_length=12, num_layers=3, hidden_size=16, num_heads=2
+        )
+        log = CommunicationLog()
+        hook = CompressedBackpropagation(num_stages=3, rank=2)
+        engine = PipelineParallelEngine(
+            build_gpt_stages(config, 3, seed=0),
+            InterStageChannel(log=log, backward_hook=hook),
+            schedule_kind=kind,
+        )
+        batches = [make_batch(config, rng) for _ in range(4)]
+        engine.run_iteration(batches)  # history the next iteration must not rescan
+
+        def no_scans(self, category=None):
+            raise AssertionError("run_iteration scanned the communication log")
+
+        mark = len(log.records)
+        with monkeypatch.context() as patch:
+            patch.setattr(CommunicationLog, "total_wire_bytes", no_scans)
+            result = engine.run_iteration(batches)
+        delta = CommunicationLog(records=log.records[mark:])
+        assert result.forward_bytes == delta.total_wire_bytes("inter_stage_forward")
+        assert result.backward_bytes == delta.total_wire_bytes("inter_stage_backward")
+        assert 0 < result.backward_bytes < result.forward_bytes  # CB compressed some
+
 
 class TestZeroBubbleReplay:
     """The zb1 replay path of the functional pipeline engine."""

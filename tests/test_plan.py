@@ -4,12 +4,12 @@ Covers the four contracts the plan redesign introduces:
 
 * **round-trip** — ``from_dict(to_dict(p)) == p`` (hypothesis property) and
   invalid boundary/codec/knob combinations raise at construction;
-* **shim equivalence** — every legacy ``EngineCompressionConfig`` spelling and
-  its plan-path equivalent produce bit-identical weights and an identical
-  communication-log stream through the engine;
-* **cross-layer parity** — ``CompressionPlan.from_plan`` (simulator) and
-  ``plan.engine_config()`` (engine) agree on codec/rank/bits/fraction and the
-  selected stage set per boundary, and the PowerSGD byte models agree exactly;
+* **spelling equivalence** — a plan built in code, the same plan read back from
+  its JSON file, and the CLI's ``--preset`` spelling produce bit-identical
+  weights and an identical communication-log stream through the engine;
+* **cross-layer parity** — the engine's hooks and codecs follow every boundary
+  spec of the plan, the engine and the simulator select the same compressed DP
+  stages, and the PowerSGD byte models agree exactly;
 * **CLI** — ``repro train --preset``, ``--plan file.json``, and the ``repro
   plan show/validate/diff`` subcommands.
 """
@@ -25,10 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
-from repro.compression import PowerSGDCompressor
+from repro.compression import PowerSGDCompressor, TopKCompressor
 from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
-from repro.core.selective_stage import select_compressed_stages
 from repro.models.gpt_configs import functional_config
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import (
@@ -41,7 +39,7 @@ from repro.plan import (
     Topology,
 )
 from repro.simulator.cost_model import CostModel, TrainingJob
-from repro.simulator.executor import CompressionPlan
+from repro.simulator.executor import PipelineTimingSimulator
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "plans"
 
@@ -221,14 +219,15 @@ class TestPlanHelpers:
         for name in PLAN_PRESETS:
             plan = ParallelPlan.preset(name)
             if name in ("zb1", "auto"):
-                # Schedule presets, not compression stacks: the technique
-                # flags are the baseline's.
+                # Schedule presets, not compression stacks: nothing is compressed.
                 assert plan.schedule.kind == name
-                assert plan.optimus_config() == OptimusCCConfig.baseline()
+                assert not plan.compresses_anything
                 if name == "auto":
                     assert plan.schedule.memory_cap_factor == 1.5
                 continue
-            assert plan.optimus_config() == getattr(OptimusCCConfig, name)()
+            # Every technique preset compresses some boundary (labels are pinned
+            # in test_extensions.py, where the checkpoint header records them).
+            assert plan.compresses_anything == (name != "baseline")
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError, match="unknown plan preset"):
@@ -256,7 +255,7 @@ class TestPlanHelpers:
         serial = overlapped.with_schedule(kind="serial")
         rebucketed = overlapped.with_boundary(Boundary.DP, bucket_bytes=128 * 1024)
         labels = {overlapped.describe(), serial.describe(), rebucketed.describe()}
-        assert len(labels) == 3  # the old EngineCompressionConfig label collapsed these
+        assert len(labels) == 3  # overlap and bucket size both show in the label
         assert "overlap/64KiB" in overlapped.describe()
         assert "serial-dp" in serial.describe()
         assert "overlap/128KiB" in rebucketed.describe()
@@ -284,21 +283,24 @@ class TestPlanHelpers:
         assert job.num_micro_batches == 16
         assert job.num_model_chunks == 2
         # Chunk count changes the simulated schedule, proving delivery.
-        from repro.simulator.executor import PipelineTimingSimulator
-
-        chunked = PipelineTimingSimulator(job, plan.compression_plan()).run()
+        chunked = PipelineTimingSimulator(job, plan).run()
         plain_job = plan.with_schedule(num_model_chunks=1).training_job(GPT_2_5B)
-        plain = PipelineTimingSimulator(plain_job, plan.compression_plan()).run()
+        plain = PipelineTimingSimulator(plain_job, plan).run()
         assert chunked.iteration_time != plain.iteration_time
 
-    def test_non_powersgd_dp_codec_is_not_misrepresented(self):
+    def test_non_powersgd_dp_codec_runs_on_every_layer(self):
+        from repro.models.gpt_configs import GPT_2_5B
+
         plan = ParallelPlan.baseline().with_boundary(
             Boundary.DP, codec="topk", fraction=0.05, stage_fraction=1.0
         )
-        optimus = plan.optimus_config()
-        assert optimus.dp_stage_fraction == 0.0  # no false PowerSGD-SC claim
-        assert plan.engine_config().dp_codec == "topk"  # the codec still runs
-        assert CompressionPlan.from_plan(plan).dp_codec == "topk"
+        assert plan.stack_label() == "DP(all)"
+        engine = ThreeDParallelEngine(_tiny_model(2), plan.with_topology(pp=2))
+        assert engine.dp_reduce.powersgd is None  # no PowerSGD masquerade
+        assert isinstance(engine.dp_reduce.feedback.compressor, TopKCompressor)
+        job = TrainingJob(model=GPT_2_5B)
+        baseline = PipelineTimingSimulator(job, ParallelPlan.baseline()).run()
+        assert PipelineTimingSimulator(job, plan).run().dp_wire_bytes < baseline.dp_wire_bytes
 
     def test_pretrainer_validates_plan_against_loader(self, small_config, loader):
         from repro.training.trainer import Pretrainer
@@ -317,11 +319,11 @@ class TestPlanHelpers:
         assert len(plans) == 2
         assert hash(ParallelPlan.preset("cb")) == hash(ParallelPlan.cb())
 
-    def test_explicit_topology_args_override_the_plan_in_measure(self):
+    def test_measure_takes_its_topology_from_the_plan(self):
         from repro.experiments.engine_traffic import measure_engine_traffic
 
         sample = measure_engine_traffic(
-            "override", plan=ParallelPlan.baseline(), num_stages=2, num_micro_batches=2
+            "override", ParallelPlan.baseline().with_topology(pp=2, micro_batches=2)
         )
         assert sample.num_stages == 2
 
@@ -334,8 +336,14 @@ class TestPlanHelpers:
 
 
 # ---------------------------------------------------------------------------------
-# Shim equivalence: legacy EngineCompressionConfig vs the plan path
+# Spelling equivalence: a plan built in code vs its JSON file vs the CLI
 # ---------------------------------------------------------------------------------
+
+
+def _tiny_model(num_layers):
+    return functional_config(
+        vocab_size=16, sequence_length=8, num_layers=num_layers, hidden_size=8, num_heads=2
+    )
 
 
 def _run_probe(engine, iterations=2, seed=7):
@@ -365,15 +373,22 @@ def _run_probe(engine, iterations=2, seed=7):
     return records, weights
 
 
-ENGINE_SPELLINGS = [
-    EngineCompressionConfig.uncompressed(),
-    EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-    EngineCompressionConfig(dp_codec="powersgd", dp_rank=2, dp_stage_fraction=0.5),
-    EngineCompressionConfig(dp_codec="qsgd", dp_qsgd_bits=3, min_compression_elements=64),
-    EngineCompressionConfig(
-        dp_codec="topk", dp_topk_fraction=0.25, dp_overlap=False, dp_error_feedback=False
-    ),
-    EngineCompressionConfig(dp_codec="powersgd", dp_rank=2, dp_bucket_bytes=1 << 12),
+def _dp_plan(codec="none", overlap=True, **dp_knobs):
+    return ParallelPlan(
+        topology=Topology(dp=2, pp=2),
+        schedule=Schedule(kind="1f1b" if overlap else "serial"),
+        compression={Boundary.DP: CompressionSpec(codec=codec, **dp_knobs)},
+    )
+
+
+#: DP-boundary configurations the equivalence tests drive through the engine.
+DP_PLANS = [
+    _dp_plan(),
+    _dp_plan(overlap=False),
+    _dp_plan("powersgd", rank=2, stage_fraction=0.5),
+    _dp_plan("qsgd", bits=3, min_elements=64),
+    _dp_plan("topk", fraction=0.25, overlap=False, error_feedback=False),
+    _dp_plan("powersgd", rank=2, bucket_bytes=1 << 12),
 ]
 
 
@@ -383,8 +398,6 @@ class TestDpFireKnob:
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
             Schedule(dp_fire="per_layer")
-        with pytest.raises(ValueError):
-            EngineCompressionConfig(dp_fire="per_layer")
 
     def test_round_trips_and_diffs(self):
         plan = ParallelPlan(schedule=Schedule(dp_fire="micro_batch"))
@@ -400,15 +413,6 @@ class TestDpFireKnob:
         # The serial schedule has no buckets to fire: no marker.
         serial = micro.with_schedule(kind="serial")
         assert "mb-fire" not in serial.describe()
-
-    def test_engine_config_carries_dp_fire_both_ways(self):
-        plan = ParallelPlan(schedule=Schedule(dp_fire="micro_batch"))
-        config = plan.engine_config()
-        assert config.dp_fire == "micro_batch"
-        assert "mb-fire" in config.describe()
-        lifted = config.as_plan()
-        assert lifted.schedule.dp_fire == "micro_batch"
-        assert EngineCompressionConfig.from_plan(lifted) == config
 
     def test_training_job_gets_dp_fire(self):
         from repro.models.gpt_configs import GPT_2_5B
@@ -483,54 +487,42 @@ class TestZb1Schedule:
         assert engine.bucketed_sync is not None
         assert engine.bucketed_sync.schedule_kind == "zb1"
 
-    def test_zb1_dp_overlap_derives_overlapped_engine_config(self):
-        config = ParallelPlan.zb1().engine_config()
-        assert config.dp_overlap
 
-
-class TestShimEquivalence:
-    @pytest.mark.parametrize(
-        "engine_config", ENGINE_SPELLINGS, ids=lambda cfg: cfg.describe()
-    )
-    def test_every_legacy_spelling_matches_its_plan(self, engine_config):
-        """The shim contract: cfg and cfg.as_plan() drive identical engines."""
+class TestSpellingEquivalence:
+    @pytest.mark.parametrize("plan", DP_PLANS, ids=lambda plan: plan.describe())
+    def test_json_spelling_drives_an_identical_engine(self, plan, tmp_path):
+        """A plan and the same plan read back from its JSON file drive identical engines."""
         model = functional_config(
             vocab_size=48, sequence_length=12, num_layers=2, hidden_size=16, num_heads=2
         )
-        plan = engine_config.as_plan(num_stages=2, data_parallel_degree=2)
-        assert EngineCompressionConfig.from_plan(plan) == engine_config
+        path = tmp_path / "plan.json"
+        plan.save(path)
+        loaded = ParallelPlan.load(path)
+        assert loaded == plan
 
-        legacy = ThreeDParallelEngine(
-            model, num_stages=2, data_parallel_degree=2, engine_config=engine_config
-        )
-        via_plan = ThreeDParallelEngine(model, plan=plan)
-        legacy_records, legacy_weights = _run_probe(legacy)
-        plan_records, plan_weights = _run_probe(via_plan)
+        built_records, built_weights = _run_probe(ThreeDParallelEngine(model, plan))
+        loaded_records, loaded_weights = _run_probe(ThreeDParallelEngine(model, loaded))
 
-        assert legacy_records == plan_records  # identical traffic log, record by record
-        for mine, theirs in zip(legacy_weights, plan_weights):
+        assert built_records == loaded_records  # identical traffic log, record by record
+        for mine, theirs in zip(built_weights, loaded_weights):
             assert np.array_equal(mine, theirs)  # bit-identical weights
 
-    def test_preset_cli_and_shim_spellings_are_bit_identical(self):
-        """The acceptance triangle: --preset path == plan path == legacy shim."""
+    def test_preset_cli_and_file_spellings_are_bit_identical(self, tmp_path):
+        """The acceptance triangle: --preset path == plan path == plan file."""
         arguments = cli.build_parser().parse_args(["train", "--preset", "cb_fe_sc"])
         cli_plan = cli.build_train_plan(arguments)
         plan = ParallelPlan.preset("cb_fe_sc").proxy_scaled()
         assert cli_plan == plan
+        path = tmp_path / "cb_fe_sc.json"
+        plan.save(path)
 
         model = functional_config(
             vocab_size=48, sequence_length=12, num_layers=4, hidden_size=16, num_heads=2
         )
         engines = [
-            ThreeDParallelEngine(model, plan=plan),
-            ThreeDParallelEngine(model, plan=cli_plan),
-            ThreeDParallelEngine(
-                model,
-                num_stages=4,
-                data_parallel_degree=2,
-                optimus_config=plan.optimus_config(),
-                engine_config=plan.engine_config(),  # the legacy shim spelling
-            ),
+            ThreeDParallelEngine(model, plan),
+            ThreeDParallelEngine(model, cli_plan),
+            ThreeDParallelEngine(model, ParallelPlan.load(path)),
         ]
         results = [_run_probe(engine) for engine in engines]
         reference_records, reference_weights = results[0]
@@ -549,34 +541,52 @@ class TestShimEquivalence:
 
 class TestCrossLayerParity:
     @pytest.mark.parametrize("name", sorted(PLAN_PRESETS))
-    def test_simulator_and_engine_agree_on_every_boundary(self, name):
-        plan = ParallelPlan.preset(name)
-        sim = CompressionPlan.from_plan(plan)
-        eng = plan.engine_config()
-        optimus = plan.optimus_config()
+    def test_engine_follows_every_boundary_spec(self, name):
+        plan = ParallelPlan.preset(name).with_topology(pp=4, dp=2)
+        engine = ThreeDParallelEngine(_tiny_model(4), plan)
+        pp, dp = plan.spec(Boundary.PP), plan.spec(Boundary.DP)
 
-        # DP boundary: codec, rank, bits, kept fraction, and the stage set.
-        if plan.spec(Boundary.DP).compresses:
-            assert sim.dp_codec == eng.dp_codec
-            assert sim.dp_rank == eng.dp_rank
-            assert sim.dp_qsgd_bits == eng.dp_qsgd_bits
-            assert sim.dp_topk_fraction == eng.dp_topk_fraction
-            assert sim.dp_compressed_stage_fraction == eng.dp_stage_fraction
-        for num_stages in (2, 4, 8):
-            engine_stages = (
-                select_compressed_stages(num_stages, eng.dp_stage_fraction)
-                if eng.compresses_dp
-                else set()
-            )
-            assert sim.compressed_dp_stages(num_stages) == engine_stages
+        # DP boundary: codec, rank, bits, kept fraction.
+        reducer = engine.dp_reduce
+        assert (reducer.powersgd is not None) == (dp.codec == "powersgd")
+        assert (reducer.feedback is not None) == (dp.codec in ("qsgd", "topk"))
+        if reducer.powersgd is not None:
+            assert reducer.powersgd.rank == dp.rank
+            assert reducer.powersgd.stage_fraction == dp.stage_fraction
 
-        # PP boundary: CB flag, rank, epilogue restriction, LEP.
-        assert sim.compress_backward == plan.spec(Boundary.PP).compresses
-        assert sim.backward_rank == optimus.cb_rank
-        assert sim.backward_epilogue_only == optimus.epilogue_only
+        # PP boundary: CB flag, rank, epilogue restriction, LEP, codec.
+        hook = engine.cb_hooks[0]
+        assert (hook is not None) == pp.compresses
+        if hook is not None:
+            assert hook.rank == pp.rank
+            assert hook.epilogue_only == pp.epilogue_only
+            assert hook.lazy_error_propagation == pp.error_feedback
+            codec = TopKCompressor if pp.codec == "topk" else PowerSGDCompressor
+            assert isinstance(hook.feedback.compressor, codec)
 
         # Embedding boundary.
-        assert sim.fuse_embedding == (plan.spec(Boundary.EMBEDDING).codec == "fused")
+        fused = plan.spec(Boundary.EMBEDDING).codec == "fused"
+        assert engine.embedding_sync.fused == fused
+
+    @pytest.mark.parametrize("codec", ["none", "powersgd", "qsgd", "topk"])
+    def test_engine_and_simulator_compress_the_same_dp_stages(self, codec):
+        """pp 1..8 x stage fraction x codec: one stage set on both layers."""
+        from repro.models.gpt_configs import GPT_2_5B
+
+        model = _tiny_model(8)
+        for pp in range(1, 9):
+            for stage_fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
+                plan = ParallelPlan.baseline(Topology(dp=1, pp=pp)).with_boundary(
+                    Boundary.DP, codec=codec, stage_fraction=stage_fraction
+                )
+                engine = ThreeDParallelEngine(model, plan)
+                simulator = PipelineTimingSimulator(plan.training_job(GPT_2_5B), plan)
+                assert engine.dp_reduce.compressed_stages == simulator.compressed_dp_stages, (
+                    pp,
+                    stage_fraction,
+                )
+                if codec == "none":
+                    assert simulator.compressed_dp_stages == set()
 
     @pytest.mark.parametrize("rank", [2, 4, 64])
     def test_powersgd_byte_models_agree(self, rank):
@@ -602,9 +612,11 @@ class TestCrossLayerParity:
         plan = ParallelPlan.preset("cb_fe_sc").proxy_scaled()
         sample = measure_engine_traffic("parity", plan=plan)
         assert sample.dp_bytes_saved_fraction > 0.0
-        sim = CompressionPlan.from_plan(plan)
+        from repro.models.gpt_configs import GPT_2_5B
+
+        simulator = PipelineTimingSimulator(plan.training_job(GPT_2_5B), plan)
         # 75% of 4 stages -> stages {0, 1, 2} on both layers.
-        assert sim.compressed_dp_stages(plan.topology.pp) == {0, 1, 2}
+        assert simulator.compressed_dp_stages == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------------
@@ -710,15 +722,14 @@ class TestPlanCli:
         )
         assert cli.build_train_plan(preset_args).spec(Boundary.DP).rank == 2
 
-    def test_engine_folds_overrides_into_its_stored_plan(self):
+    def test_engine_stores_the_plan_it_runs(self):
         model = functional_config(
             vocab_size=48, sequence_length=12, num_layers=2, hidden_size=16, num_heads=2
         )
-        engine = ThreeDParallelEngine(
-            model, num_stages=2, plan=ParallelPlan.baseline().with_topology(pp=4)
-        )
+        plan = ParallelPlan.baseline().with_topology(pp=4).with_topology(pp=2)
+        engine = ThreeDParallelEngine(model, plan)
         assert engine.num_stages == 2
-        assert engine.plan.topology.pp == 2  # self.plan describes the actual run
+        assert engine.plan is plan  # self.plan describes the actual run
 
     def test_overlap_dp_flag_flips_a_serial_plan_back(self, tmp_path):
         path = tmp_path / "serial.json"
@@ -758,10 +769,7 @@ class TestPlanCli:
         """--dp-bucket-kb omitted -> the plan keeps the dataclass default."""
         arguments = cli.build_parser().parse_args(["train", "--preset", "baseline"])
         plan = cli.build_train_plan(arguments)
-        assert (
-            plan.engine_config().dp_bucket_bytes
-            == EngineCompressionConfig.dp_bucket_bytes
-        )
+        assert plan.spec(Boundary.DP).bucket_bytes == CompressionSpec.bucket_bytes
 
 
 class TestExecutorKnob:

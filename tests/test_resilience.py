@@ -489,11 +489,11 @@ class TestSimulatorRecoveryOverhead:
     def test_recovery_overhead_adds_to_iteration_time(self):
         from repro.models import GPT_2_5B
         from repro.simulator import TrainingJob
-        from repro.simulator.executor import CompressionPlan, simulate_plan
+        from repro.simulator.executor import PipelineTimingSimulator
 
-        job = TrainingJob(model=GPT_2_5B)
-        base = simulate_plan(job, CompressionPlan.cb_fe_sc())
-        padded = simulate_plan(job, CompressionPlan.cb_fe_sc(), resilience_overhead_s=0.5)
+        simulator = PipelineTimingSimulator(TrainingJob(model=GPT_2_5B), ParallelPlan.cb_fe_sc())
+        base = simulator.run()
+        padded = simulator.run(resilience_overhead_s=0.5)
         assert base.recovery_overhead == 0.0
         assert padded.recovery_overhead == 0.5
         assert padded.iteration_time == pytest.approx(base.iteration_time + 0.5)
@@ -501,13 +501,11 @@ class TestSimulatorRecoveryOverhead:
     def test_negative_overhead_rejected(self):
         from repro.models import GPT_2_5B
         from repro.simulator import TrainingJob
-        from repro.simulator.executor import CompressionPlan, simulate_plan
+        from repro.simulator.executor import PipelineTimingSimulator
 
+        simulator = PipelineTimingSimulator(TrainingJob(model=GPT_2_5B), ParallelPlan.cb_fe_sc())
         with pytest.raises(ValueError):
-            simulate_plan(
-                TrainingJob(model=GPT_2_5B), CompressionPlan.cb_fe_sc(),
-                resilience_overhead_s=-0.1,
-            )
+            simulator.run(resilience_overhead_s=-0.1)
 
 
 # ----------------------------------------------------------------------------------
