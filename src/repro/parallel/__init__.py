@@ -15,12 +15,13 @@ from repro.parallel.process_groups import ParallelLayout, ProcessGrid
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup, TrafficRecord
 from repro.parallel.pipeline_schedule import (
     PipelineOp,
-    ScheduleKind,
     build_1f1b_schedule,
     build_gpipe_schedule,
     build_interleaved_1f1b_schedule,
     build_zb1_schedule,
     epilogue_micro_batches,
+    op_stream,
+    stage_ops,
 )
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
 from repro.parallel.data_parallel import DataParallelGradientSync
@@ -40,12 +41,13 @@ __all__ = [
     "SimulatedProcessGroup",
     "TrafficRecord",
     "PipelineOp",
-    "ScheduleKind",
     "build_gpipe_schedule",
     "build_1f1b_schedule",
     "build_interleaved_1f1b_schedule",
     "build_zb1_schedule",
     "epilogue_micro_batches",
+    "op_stream",
+    "stage_ops",
     "PipelineParallelEngine",
     "InterStageChannel",
     "DataParallelGradientSync",

@@ -619,10 +619,9 @@ class ThreeDParallelEngine:
         self.num_stages = topology.pp
         self.data_parallel_degree = topology.dp
         self.tensor_parallel_degree = topology.tp
-        # The pipeline execution schedule: the split-backward kinds ("zb1",
-        # "auto") replay their op lists inside every replica's pipeline engine
-        # (bit-for-bit identical weights); everything else runs the
-        # phase-ordered loop.  "auto" additionally carries the plan's
+        # The pipeline execution schedule: every replica's pipeline engine
+        # replays this kind's op lists (bit-for-bit identical weights for
+        # every kind).  "auto" additionally carries the plan's
         # activation-memory cap into the synthesizer.
         self.schedule_kind = plan.schedule.kind
         self.memory_cap_factor = plan.schedule.memory_cap_factor

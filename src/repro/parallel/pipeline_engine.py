@@ -8,26 +8,24 @@ paper's compressed backpropagation plugs into.
 
 Execution order
 ---------------
-Within a single iteration no weights change, so the numerical result depends only on
-(1) which micro-batches are processed and (2) the per-boundary *order* of backward
-communications (which matters when lazy error propagation carries residuals from one
-micro-batch to the next).  Both are identical between a real 1F1B execution and the
-simpler "all forwards in micro-batch order, then all backwards in micro-batch order"
-loop used here, so the functional engine uses the simpler loop; the 1F1B timing
-behaviour is modelled separately by :mod:`repro.simulator`.
+Every schedule kind replays its real per-stage op lists
+(:func:`~repro.parallel.pipeline_schedule.stage_ops`): 1F1B for ``"1f1b"`` and
+``"serial"`` (which differ only at the DP boundary), the handcrafted ZB-H1 for
+``"zb1"`` and the synthesizer's output for ``"auto"`` — the same lists the
+timing simulator times.  The engine runs them in the dependency order of
+:func:`~repro.parallel.pipeline_schedule.op_stream`, executing each entry's
+forward, fused backward, activation-gradient pass
+(:meth:`~repro.nn.gpt_stage.GPTStage.backward_input`) or deferred
+weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`).
 
-The split-backward schedules (``schedule_kind="zb1"`` and the synthesized
-``"auto"``) *do* change the execution structure — each backward is split into
-an activation-gradient pass
-(:meth:`~repro.nn.gpt_stage.GPTStage.backward_input`) and a deferred
-weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`) —
-so the engine replays the actual per-stage op lists (the handcrafted ZB-H1
-order for ``"zb1"``, the synthesizer's output for ``"auto"``) in dependency
-order.  Because every valid op list still presents each boundary's backward
-transfers in ascending micro-batch order and runs each stage's W passes in
-ascending micro-batch order, the weights remain bit-for-bit identical to the
-1F1B loop regardless of which valid schedule is replayed (asserted by the
-parity tests).
+Within a single iteration no weights change, so the numerical result depends only
+on (1) which micro-batches are processed, (2) the per-boundary *order* of
+backward communications (which matters when lazy error propagation carries
+residuals from one micro-batch to the next) and (3) the per-stage order in which
+weight gradients accumulate.  Every valid op list presents each boundary's
+transfers in ascending micro-batch order and accumulates each stage's weight
+gradients in ascending micro-batch order, so the weights are bit-for-bit
+identical whichever kind is replayed (asserted by the parity tests).
 """
 
 from __future__ import annotations
@@ -43,14 +41,8 @@ from repro.parallel.collectives import (
     CommunicationLog,
     TrafficRecord,
 )
-from repro.parallel.pipeline_schedule import PipelineOp, build_zb1_schedule
-from repro.plan import SPLIT_BACKWARD_KINDS, validate_schedule_kind
-
-#: Schedule kinds the functional engine can execute.  ``"1f1b"`` and
-#: ``"serial"`` are numerically the phase-ordered loop (1F1B timing is a
-#: simulator concern); ``"zb1"`` replays the split-backward ZB-H1 op lists and
-#: ``"auto"`` replays whatever op lists the synthesizer emits for the layout.
-ENGINE_SCHEDULE_KINDS = ("1f1b", "serial", "zb1", "auto")
+from repro.parallel.pipeline_schedule import StreamEntry, op_stream, stage_ops
+from repro.plan import validate_schedule_kind
 
 #: Hook applied to every backward inter-stage transfer.
 #:
@@ -154,9 +146,10 @@ class PipelineParallelEngine:
     channel:
         The inter-stage channel (owns the compression hooks and the traffic log).
     schedule_kind:
-        ``"1f1b"``/``"serial"`` run the phase-ordered loop; ``"zb1"`` replays the
-        ZB-H1 split-backward op lists and ``"auto"`` the synthesized ones
-        (bit-for-bit identical weights either way).
+        A :data:`repro.plan.SCHEDULE_KINDS` value: ``"1f1b"``/``"serial"``
+        replay the 1F1B op lists, ``"zb1"`` the ZB-H1 split-backward ones and
+        ``"auto"`` the synthesized ones (bit-for-bit identical weights either
+        way).
     memory_cap_factor:
         Activation-memory cap handed to the synthesizer when
         ``schedule_kind == "auto"`` (1.0 = ZB-H1's footprint; ignored otherwise).
@@ -173,15 +166,16 @@ class PipelineParallelEngine:
             raise ValueError("a pipeline needs at least one stage")
         if not stages[0].is_first or not stages[-1].is_last:
             raise ValueError("stages[0] must be the first stage and stages[-1] the last stage")
-        validate_schedule_kind(
-            schedule_kind, ENGINE_SCHEDULE_KINDS, context="PipelineParallelEngine"
-        )
+        validate_schedule_kind(schedule_kind, context="PipelineParallelEngine")
         if memory_cap_factor < 1.0:
             raise ValueError(f"memory_cap_factor must be >= 1.0, got {memory_cap_factor}")
         self.stages: list[GPTStage] = list(stages)
         self.channel = channel if channel is not None else InterStageChannel()
         self.schedule_kind = schedule_kind
         self.memory_cap_factor = memory_cap_factor
+        #: The op stream per micro-batch count (a pure function of the kind,
+        #: the stage count, the micro-batch count and the cap).
+        self._streams: dict[int, list[StreamEntry]] = {}
 
     @property
     def num_stages(self) -> int:
@@ -213,47 +207,50 @@ class PipelineParallelEngine:
         num_micro_batches = len(micro_batches)
         if num_micro_batches == 0:
             raise ValueError("run_iteration requires at least one micro-batch")
-        if self.schedule_kind in SPLIT_BACKWARD_KINDS:
-            return self._run_iteration_split(micro_batches, self._build_split_schedule(num_micro_batches))
         loss_scale = 1.0 / num_micro_batches
         # Wire bytes of this iteration's own transfers (the log is never scanned).
         forward_bytes = backward_bytes = 0
-
         # Per-stage, per-micro-batch caches; index [stage][micro_batch].
         caches: list[list[StageCache | None]] = [
             [None] * num_micro_batches for _ in range(self.num_stages)
         ]
-        losses: list[float] = []
-
-        # Forward phase (micro-batch order).
-        for micro_batch, (tokens, targets) in enumerate(micro_batches):
-            activation: np.ndarray = np.asarray(tokens)
-            for stage_index, stage in enumerate(self.stages):
-                if stage.is_last:
-                    loss, cache = stage.forward(activation, targets=targets)
-                    losses.append(float(loss))
+        losses: list[float] = [0.0] * num_micro_batches
+        # Delivered activations/gradients, keyed by the stream index of the op
+        # that sent them; each is popped by its one consumer.
+        delivered: dict[int, np.ndarray] = {}
+        for index, (stage_index, op, producer) in enumerate(self._stream(num_micro_batches)):
+            stage = self.stages[stage_index]
+            mb = op.micro_batch
+            if op.kind == "forward":
+                if producer < 0:
+                    activation = np.asarray(micro_batches[mb][0])
                 else:
-                    activation, cache = stage.forward(activation)
-                    activation, sent = self.channel.send_forward(
-                        activation, stage_index, micro_batch, num_micro_batches
+                    activation = delivered.pop(producer)
+                if stage.is_last:
+                    loss, caches[stage_index][mb] = stage.forward(
+                        activation, targets=micro_batches[mb][1]
+                    )
+                    losses[mb] = float(loss)
+                else:
+                    activation, caches[stage_index][mb] = stage.forward(activation)
+                    delivered[index], sent = self.channel.send_forward(
+                        activation, stage_index, mb, num_micro_batches
                     )
                     forward_bytes += sent
-                caches[stage_index][micro_batch] = cache
-
-        # Backward phase (micro-batch order, stages in reverse).
-        for micro_batch in range(num_micro_batches):
-            grad: np.ndarray | None = None
-            for stage_index in range(self.num_stages - 1, -1, -1):
-                stage = self.stages[stage_index]
-                cache = caches[stage_index][micro_batch]
+            elif op.kind == "backward_weight":
+                stage.backward_weight(caches[stage_index][mb])
+                caches[stage_index][mb] = None  # release the W stash
+            else:  # fused backward or B pass
+                run = stage.backward if op.kind == "backward" else stage.backward_input
                 if stage.is_last:
-                    grad = stage.backward(None, cache, loss_scale=loss_scale)
+                    grad = run(None, caches[stage_index][mb], loss_scale=loss_scale)
                 else:
-                    grad = stage.backward(grad, cache)
-                caches[stage_index][micro_batch] = None  # release activation memory
+                    grad = run(delivered.pop(producer), caches[stage_index][mb])
+                if op.kind == "backward":
+                    caches[stage_index][mb] = None  # release activation memory
                 if stage_index > 0 and grad is not None:
-                    grad, sent = self.channel.send_backward(
-                        grad, stage_index - 1, micro_batch, num_micro_batches
+                    delivered[index], sent = self.channel.send_backward(
+                        grad, stage_index - 1, mb, num_micro_batches
                     )
                     backward_bytes += sent
 
@@ -264,123 +261,32 @@ class PipelineParallelEngine:
             backward_bytes=int(backward_bytes),
         )
 
-    def _build_split_schedule(self, num_micro_batches: int) -> list[list[PipelineOp]]:
-        """Per-stage split-backward op lists for the engine's schedule kind.
+    def _stream(self, num_micro_batches: int) -> list[StreamEntry]:
+        """The dependency-ordered op stream of this engine's schedule kind.
 
-        ``"zb1"`` is the handcrafted ZB-H1 order; ``"auto"`` runs the
-        synthesizer with the analytic unit-cost split (F=1, B=2, W=1 — the
-        recompute-free transformer ratio) and the engine's memory cap.  The
-        functional engine is timing-free, so any dependency-valid list yields
-        identical weights; the costs only shape which valid list is chosen.
+        ``"auto"`` synthesizes with the analytic unit-cost split (F=1, B=2,
+        W=1 — the recompute-free transformer ratio) and the engine's memory
+        cap.  The functional engine is timing-free, so any dependency-valid
+        list yields identical weights; the costs only shape which valid list
+        is chosen.
         """
-        if self.schedule_kind == "auto":
-            from repro.parallel.scheduler import StageCosts, SynthesisSpec, synthesize_schedule
+        stream = self._streams.get(num_micro_batches)
+        if stream is None:
+            auto_spec = None
+            if self.schedule_kind == "auto":
+                from repro.parallel.scheduler import StageCosts, SynthesisSpec
 
-            spec = SynthesisSpec(
-                num_stages=self.num_stages,
-                num_micro_batches=num_micro_batches,
-                costs=tuple(StageCosts(1.0, 2.0, 1.0) for _ in range(self.num_stages)),
-                memory_cap_factor=self.memory_cap_factor,
-            )
-            return synthesize_schedule(spec).stage_ops()
-        return build_zb1_schedule(self.num_stages, num_micro_batches)
-
-    def _run_iteration_split(
-        self,
-        micro_batches: Sequence[tuple[np.ndarray, np.ndarray]],
-        schedule: list[list[PipelineOp]],
-    ) -> IterationResult:
-        """Replay split-backward (B/W) op lists in dependency order.
-
-        Each stage executes its op list in order; an op runs as soon as its
-        input has arrived (forward activation from upstream, activation
-        gradient from downstream, or — for a W pass — the stage's own earlier
-        B pass).  Every valid op list presents forward and backward transfers
-        in ascending micro-batch order at every boundary and accumulates
-        weight gradients in ascending micro-batch order on every stage, so the
-        result is bit-for-bit the phase-ordered loop's whichever schedule
-        (zb1 or synthesized) is replayed.
-        """
-        num_micro_batches = len(micro_batches)
-        num_stages = self.num_stages
-        loss_scale = 1.0 / num_micro_batches
-        # Wire bytes of this iteration's own transfers (the log is never scanned).
-        forward_bytes = backward_bytes = 0
-
-        caches: list[list[StageCache | None]] = [
-            [None] * num_micro_batches for _ in range(num_stages)
-        ]
-        # losses[mb] — filled by the last stage's forward ops (ascending mb).
-        losses: list[float | None] = [None] * num_micro_batches
-        activations: dict[tuple[int, int], np.ndarray] = {
-            (0, mb): np.asarray(tokens) for mb, (tokens, _) in enumerate(micro_batches)
-        }
-        gradients: dict[tuple[int, int], np.ndarray | None] = {
-            (num_stages - 1, mb): None for mb in range(num_micro_batches)
-        }
-        backward_done: set[tuple[int, int]] = set()
-
-        pointers = [0] * num_stages
-        remaining = sum(len(ops) for ops in schedule)
-        while remaining > 0:
-            progressed = False
-            for stage_index in range(num_stages):
-                stage = self.stages[stage_index]
-                while pointers[stage_index] < len(schedule[stage_index]):
-                    op = schedule[stage_index][pointers[stage_index]]
-                    key = (stage_index, op.micro_batch)
-                    if op.kind == "forward":
-                        if key not in activations:
-                            break
-                        activation = activations.pop(key)
-                        if stage.is_last:
-                            loss, cache = stage.forward(
-                                activation, targets=micro_batches[op.micro_batch][1]
-                            )
-                            losses[op.micro_batch] = float(loss)
-                        else:
-                            activation, cache = stage.forward(activation)
-                            activation, sent = self.channel.send_forward(
-                                activation, stage_index, op.micro_batch, num_micro_batches
-                            )
-                            activations[(stage_index + 1, op.micro_batch)] = activation
-                            forward_bytes += sent
-                        caches[stage_index][op.micro_batch] = cache
-                    elif op.kind == "backward_input":
-                        if key not in gradients:
-                            break
-                        grad = gradients.pop(key)
-                        cache = caches[stage_index][op.micro_batch]
-                        if stage.is_last:
-                            grad = stage.backward_input(None, cache, loss_scale=loss_scale)
-                        else:
-                            grad = stage.backward_input(grad, cache)
-                        backward_done.add(key)
-                        if stage_index > 0 and grad is not None:
-                            grad, sent = self.channel.send_backward(
-                                grad, stage_index - 1, op.micro_batch, num_micro_batches
-                            )
-                            gradients[(stage_index - 1, op.micro_batch)] = grad
-                            backward_bytes += sent
-                    else:  # backward_weight — always ready (op order puts B first)
-                        if key not in backward_done:
-                            break
-                        stage.backward_weight(caches[stage_index][op.micro_batch])
-                        caches[stage_index][op.micro_batch] = None  # release activations
-                    pointers[stage_index] += 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed:  # pragma: no cover - the builders are validated
-                raise RuntimeError(
-                    f"{self.schedule_kind} schedule deadlocked (invalid dependency structure)"
+                auto_spec = SynthesisSpec(
+                    num_stages=self.num_stages,
+                    num_micro_batches=num_micro_batches,
+                    costs=tuple(StageCosts(1.0, 2.0, 1.0) for _ in range(self.num_stages)),
+                    memory_cap_factor=self.memory_cap_factor,
                 )
-
-        return IterationResult(
-            mean_loss=float(np.mean([loss for loss in losses if loss is not None])),
-            num_micro_batches=num_micro_batches,
-            forward_bytes=int(forward_bytes),
-            backward_bytes=int(backward_bytes),
-        )
+            schedule = stage_ops(
+                self.schedule_kind, self.num_stages, num_micro_batches, auto_spec=auto_spec
+            )
+            stream = self._streams[num_micro_batches] = op_stream(schedule)
+        return stream
 
     # -- inference ------------------------------------------------------------------
 

@@ -1,13 +1,20 @@
 """Pipeline-parallel schedules: GPipe, 1F1B, interleaved 1F1B, and ZB-H1.
 
 A schedule is, per pipeline stage, an ordered list of :class:`PipelineOp` values.
-Two consumers use them:
+:func:`stage_ops` is the one place a plan's schedule kind becomes op lists, and
+:func:`op_stream` is the one place op lists become an execution order: it walks
+them in dependency order and names, for every op, the op whose output it
+consumes.  Every backend is a plain loop over that stream:
 
-* the event-driven performance simulator replays the ops with compute and
-  communication costs attached to compute iteration time;
-* the epilogue analysis (:func:`epilogue_micro_batches`) derives *which* backward
-  communications sit on the critical path — the set the paper's epilogue-only
-  compression targets (Section 5.2).
+* the schedule validator and the synthesizer's makespan evaluation
+  (:mod:`repro.parallel.scheduler`) time it with unit or synthesis costs;
+* the event-driven performance simulator times it with compute and
+  communication costs to compute iteration time;
+* the functional engine runs each entry's real forward/backward pass.
+
+The epilogue analysis (:func:`epilogue_micro_batches`) derives *which* backward
+communications sit on the critical path — the set the paper's epilogue-only
+compression targets (Section 5.2).
 
 The 1F1B schedule follows Megatron-LM / PipeDream-Flush: stage ``k`` (0-indexed, of
 ``p`` stages) performs ``p-1-k`` warm-up forwards, then alternates one forward and
@@ -27,18 +34,13 @@ to ``(p-1)(T_F + T_B - T_W)`` at the same peak in-flight activation count as
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
+from repro.plan import validate_schedule_kind
 
-class ScheduleKind(str, enum.Enum):
-    """Supported pipeline schedules."""
-
-    GPIPE = "gpipe"
-    ONE_F_ONE_B = "1f1b"
-    INTERLEAVED_1F1B = "interleaved"
-    ZERO_BUBBLE_H1 = "zb1"
-
+if TYPE_CHECKING:  # pragma: no cover - typing only (the scheduler imports this module)
+    from repro.parallel.scheduler import SynthesisSpec
 
 #: Op kinds a schedule may emit.  ``"backward"`` is the fused full backward
 #: (input + weight gradients in one op); the zero-bubble schedules split it into
@@ -243,19 +245,109 @@ def build_interleaved_1f1b_schedule(
     return schedule
 
 
-def build_schedule(
-    kind: ScheduleKind, num_stages: int, num_micro_batches: int, num_chunks: int = 2
+def stage_ops(
+    kind: str,
+    num_stages: int,
+    num_micro_batches: int,
+    num_chunks: int = 1,
+    auto_spec: "SynthesisSpec | None" = None,
 ) -> list[list[PipelineOp]]:
-    """Dispatch to the requested schedule builder."""
-    if kind == ScheduleKind.GPIPE:
-        return build_gpipe_schedule(num_stages, num_micro_batches)
-    if kind == ScheduleKind.ONE_F_ONE_B:
-        return build_1f1b_schedule(num_stages, num_micro_batches)
-    if kind == ScheduleKind.INTERLEAVED_1F1B:
-        return build_interleaved_1f1b_schedule(num_stages, num_micro_batches, num_chunks)
-    if kind == ScheduleKind.ZERO_BUBBLE_H1:
+    """Per-stage op lists of a plan schedule kind (:data:`repro.plan.SCHEDULE_KINDS`).
+
+    ``"1f1b"`` and ``"serial"`` (which differs from 1f1b only at the DP
+    boundary) are 1F1B — interleaved when ``num_chunks > 1``; ``"zb1"`` is the
+    handcrafted ZB-H1; ``"auto"`` is whatever the synthesizer picks for
+    ``auto_spec``, which the caller supplies because only it knows the costs.
+    """
+    validate_schedule_kind(kind, context="stage_ops")
+    if kind == "auto":
+        if auto_spec is None:
+            raise ValueError('stage_ops: schedule kind "auto" needs an auto_spec')
+        from repro.parallel.scheduler import synthesize_schedule
+
+        return synthesize_schedule(auto_spec).stage_ops()
+    if kind == "zb1":
         return build_zb1_schedule(num_stages, num_micro_batches)
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    return build_interleaved_1f1b_schedule(num_stages, num_micro_batches, num_chunks)
+
+
+#: One entry of :func:`op_stream`: ``(stage, op, producer)``.
+StreamEntry = tuple[int, PipelineOp, int]
+
+
+def op_stream(
+    schedule: Sequence[Sequence[PipelineOp]], num_chunks: int = 1
+) -> list[StreamEntry]:
+    """Every op of ``schedule`` once, in dependency order, as ``(stage, op, producer)``.
+
+    Each stage runs its list in order; an op can run once its input has been
+    produced.  A forward consumes the activation of the same micro-batch and
+    chunk one stage upstream (stage 0 of chunk ``c > 0`` consumes the last
+    stage's chunk ``c - 1``); a backward (fused or B) consumes the activation
+    gradient one stage downstream (the last stage of chunk ``c`` consumes
+    stage 0's chunk ``c + 1``).  ``producer`` is the stream index of that
+    upstream op, or ``-1`` when the input is local: the data loader feeds
+    stage 0's first chunk, the loss seeds the last stage's last chunk, and a W
+    pass reads only its own stage's earlier B pass, which list order already
+    sequences.
+
+    The walk visits the stages round-robin and advances each one as far as
+    its inputs allow, so the stream order is the order a timing replay that
+    starts every ready op greedily would issue them in.  Raises
+    ``RuntimeError`` when no stage can advance (a cyclic cross-stage
+    dependency, which per-stage checks cannot see).
+    """
+    num_stages = len(schedule)
+    last_stage, last_chunk = num_stages - 1, num_chunks - 1
+    stream: list[StreamEntry] = []
+    append = stream.append
+    # (stage, micro_batch, chunk) of a produced-but-unconsumed activation
+    # (forward) or activation gradient (backward) -> the stream index of the
+    # op that produced it.
+    activations: dict[tuple[int, int, int], int] = {}
+    gradients: dict[tuple[int, int, int], int] = {}
+    pointers = [0] * num_stages
+    total = sum(len(ops) for ops in schedule)
+    issued = 0
+    while issued < total:
+        swept = issued
+        for stage, ops in enumerate(schedule):
+            pointer = pointers[stage]
+            end = len(ops)
+            while pointer < end:
+                op = ops[pointer]
+                kind, mb, chunk = op.kind, op.micro_batch, op.chunk
+                if kind == "backward_weight":
+                    producer = -1
+                elif kind == "forward":
+                    if stage == 0 and chunk == 0:
+                        producer = -1
+                    else:
+                        producer = activations.pop((stage, mb, chunk), None)
+                        if producer is None:
+                            break
+                    if stage < last_stage:
+                        activations[(stage + 1, mb, chunk)] = issued
+                    elif chunk < last_chunk:
+                        activations[(0, mb, chunk + 1)] = issued
+                else:
+                    if stage == last_stage and chunk == last_chunk:
+                        producer = -1
+                    else:
+                        producer = gradients.pop((stage, mb, chunk), None)
+                        if producer is None:
+                            break
+                    if stage > 0:
+                        gradients[(stage - 1, mb, chunk)] = issued
+                    elif chunk > 0:
+                        gradients[(last_stage, mb, chunk - 1)] = issued
+                append((stage, op, producer))
+                issued += 1
+                pointer += 1
+            pointers[stage] = pointer
+        if issued == swept:
+            raise RuntimeError("pipeline schedule deadlocked (cyclic cross-stage dependency)")
+    return stream
 
 
 def warmup_micro_batches(stage: int, num_stages: int, num_micro_batches: int) -> int:

@@ -50,6 +50,7 @@ from repro.parallel.pipeline_schedule import (
     PipelineOp,
     build_zb1_schedule,
     count_in_flight_micro_batches,
+    op_stream,
     zb1_deferred_weight_passes,
 )
 
@@ -227,8 +228,9 @@ def validate_schedule_ops(
     Checks, per stage: exactly one F, one B (``"backward_input"``), and one W
     per micro-batch; each kind in ascending micro-batch order (the weight-parity
     requirement); F before B before W for every micro-batch.  Then proves
-    deadlock-freedom by replaying the lists (:func:`evaluate_schedule` raises on
-    a cyclic cross-stage dependency, which the per-stage checks cannot see).
+    deadlock-freedom by walking the lists
+    (:func:`~repro.parallel.pipeline_schedule.op_stream` raises on a cyclic
+    cross-stage dependency, which the per-stage checks cannot see).
     """
     if len(schedule) != num_stages:
         raise ValueError(f"schedule must have {num_stages} stage lists, got {len(schedule)}")
@@ -260,27 +262,22 @@ def validate_schedule_ops(
                     f"stage {stage}, micro-batch {mb}: ops must run F -> B -> W "
                     f"(positions F={f}, B={b}, W={w})"
                 )
-    # Cross-stage deadlock check: the replay raises if the lists cannot make progress.
-    costs = tuple(StageCosts(1.0, 1.0, 1.0) for _ in range(num_stages))
-    evaluate_schedule(
-        schedule, SynthesisSpec(num_stages, num_micro_batches, costs)
-    )
+    # Cross-stage deadlock check: the walk raises if the lists cannot make progress.
+    op_stream(schedule)
 
 
 def evaluate_schedule(
     schedule: list[list[PipelineOp]] | tuple[tuple[PipelineOp, ...], ...],
     spec: SynthesisSpec,
 ) -> tuple[float, float]:
-    """Replay ``schedule`` under ``spec``'s costs; return ``(makespan, bubble)``.
+    """Time ``schedule`` under ``spec``'s costs; return ``(makespan, bubble)``.
 
-    The replay semantics match the timing simulator exactly: each stage runs
-    its list in order, an op starts when the device is free *and* its input has
-    arrived (forward activation from upstream, activation gradient from
-    downstream — the last stage's is seeded by the loss — or, for a W pass,
-    nothing beyond the list order), and every hand-off costs
-    ``spec.transfer_delay``.  Raises ``RuntimeError`` on deadlock.
+    The timing semantics match the timing simulator exactly: ops run in
+    :func:`~repro.parallel.pipeline_schedule.op_stream` order, each starting
+    when its device is free *and* its input has arrived, and every hand-off
+    costs ``spec.transfer_delay``.  Raises ``RuntimeError`` on deadlock.
     """
-    p, m = spec.num_stages, spec.num_micro_batches
+    p = spec.num_stages
     delay = spec.transfer_delay
     durations = {
         "forward": [spec.costs[s].forward for s in range(p)],
@@ -291,42 +288,15 @@ def evaluate_schedule(
         "backward_weight": [spec.costs[s].backward_weight for s in range(p)],
     }
     device_free = [0.0] * p
-    pointers = [0] * p
-    forward_arrival = {(0, mb): 0.0 for mb in range(m)}
-    backward_arrival = {(p - 1, mb): 0.0 for mb in range(m)}
     backward_finish = [0.0] * p
-    remaining = sum(len(ops) for ops in schedule)
-    while remaining > 0:
-        progressed = False
-        for stage in range(p):
-            ops = schedule[stage]
-            while pointers[stage] < len(ops):
-                op = ops[pointers[stage]]
-                key = (stage, op.micro_batch)
-                if op.kind == "forward":
-                    if key not in forward_arrival:
-                        break
-                    ready = forward_arrival[key]
-                elif op.kind == "backward_weight":
-                    ready = 0.0
-                else:
-                    if key not in backward_arrival:
-                        break
-                    ready = backward_arrival[key]
-                end = max(device_free[stage], ready) + durations[op.kind][stage]
-                device_free[stage] = end
-                pointers[stage] += 1
-                remaining -= 1
-                progressed = True
-                if op.kind == "forward":
-                    if stage < p - 1:
-                        forward_arrival[(stage + 1, op.micro_batch)] = end + delay
-                else:
-                    backward_finish[stage] = end
-                    if op.kind != "backward_weight" and stage > 0:
-                        backward_arrival[(stage - 1, op.micro_batch)] = end + delay
-        if not progressed:
-            raise RuntimeError("schedule deadlocked (cyclic cross-stage dependency)")
+    ends: list[float] = []
+    for stage, op, producer in op_stream(schedule):
+        ready = ends[producer] + delay if producer >= 0 else 0.0
+        end = max(device_free[stage], ready) + durations[op.kind][stage]
+        device_free[stage] = end
+        ends.append(end)
+        if op.kind != "forward":
+            backward_finish[stage] = end
     makespan = max(backward_finish)
     total_compute = sum(
         durations[op.kind][stage] for stage, ops in enumerate(schedule) for op in ops

@@ -1,8 +1,10 @@
 """Event-driven timing simulation of one 3D-parallel training iteration.
 
-The simulator replays the pipeline schedule (plain 1F1B or Megatron's interleaved
-1F1B with multiple model chunks per stage — the paper's configuration) across the
-pipeline stages of one data-parallel replica.  Point-to-point transfers delay the
+The simulator times the op stream
+(:func:`~repro.parallel.pipeline_schedule.op_stream`) of the pipeline schedule
+(plain 1F1B, Megatron's interleaved 1F1B with multiple model chunks per stage —
+the paper's configuration — or the split-backward zb1 and auto schedules) across
+the pipeline stages of one data-parallel replica.  Point-to-point transfers delay the
 receiving stage; data-parallel all-reduces start as soon as a stage finishes its
 last backward pass (the property selective stage compression exploits); the
 embedding synchronisation runs after the first and last stages have finished their
@@ -22,9 +24,8 @@ from repro.core.selective_stage import compressed_stages_of
 from repro.parallel.pipeline_schedule import (
     BACKWARD_SEND_KINDS,
     PipelineOp,
-    build_1f1b_schedule,
-    build_interleaved_1f1b_schedule,
-    build_zb1_schedule,
+    op_stream,
+    stage_ops,
 )
 from repro.plan import Boundary, ParallelPlan, SPLIT_BACKWARD_KINDS
 from repro.simulator.cost_model import CostModel, TrainingJob
@@ -34,30 +35,6 @@ from repro.simulator.cost_model import CostModel, TrainingJob
 #: and rewind the pre-iteration state.  The replay of the interrupted
 #: iteration is costed separately (one extra iteration per respawn).
 WORKER_RESPAWN_LATENCY_S = 2.0
-
-
-def build_job_schedule(job: TrainingJob, cost: CostModel | None = None) -> list[list[PipelineOp]]:
-    """Per-stage op lists for a training job's ``schedule_kind``.
-
-    ``"auto"`` runs the synthesizer over the job's cost model (per-stage F/B/W
-    times, transfer delay, activation/stash bytes, ``memory_cap_factor``) — the
-    same op lists the timing replay and the memory model then consume, so the
-    two layers can never disagree about what ``"auto"`` means for a given job.
-    """
-    num_stages = job.num_stages
-    num_micro = job.num_micro_batches
-    if job.schedule_kind == "auto":
-        from repro.parallel.scheduler import synthesize_schedule
-
-        spec = (cost if cost is not None else CostModel(job)).auto_synthesis_spec()
-        return synthesize_schedule(spec).stage_ops()
-    if job.schedule_kind == "zb1":
-        return build_zb1_schedule(num_stages, num_micro)
-    if num_stages == 1:
-        return build_1f1b_schedule(1, num_micro)
-    if job.num_model_chunks > 1:
-        return build_interleaved_1f1b_schedule(num_stages, num_micro, job.num_model_chunks)
-    return build_1f1b_schedule(num_stages, num_micro)
 
 
 @dataclass(frozen=True)
@@ -138,7 +115,7 @@ class IterationTiming:
 
 
 class PipelineTimingSimulator:
-    """Replays the pipeline schedule with communication and compression costs.
+    """Times the pipeline schedule's op stream with communication and compression costs.
 
     ``job`` owns the shape (layout, micro-batches, schedule kind); ``plan``
     contributes the compression specs of its three boundaries.  Without a plan
@@ -165,9 +142,6 @@ class PipelineTimingSimulator:
     def with_toggles(self, **kwargs: float) -> "PipelineTimingSimulator":
         """Return a copy with some component toggles changed (for breakdowns)."""
         return PipelineTimingSimulator(self.job, self.plan, replace(self.toggles, **kwargs))
-
-    def _build_schedule(self) -> list[list[PipelineOp]]:
-        return build_job_schedule(self.job, self.cost)
 
     @staticmethod
     def _epilogue_sets(schedule: list[list[PipelineOp]]) -> list[set[tuple[int, int]]]:
@@ -234,7 +208,15 @@ class PipelineTimingSimulator:
         plain_transfer = self._transfer(False, pp.rank)
         compressed_transfer = self._transfer(True, pp.rank)
         forward_transfer = compressed_transfer if pp.compress_forward else plain_transfer
-        schedule = self._build_schedule()
+        # "auto" synthesizes over this job's costs — the same op lists the
+        # memory model reads, so the two layers cannot disagree about them.
+        schedule = stage_ops(
+            self.job.schedule_kind,
+            num_stages,
+            num_micro,
+            chunks,
+            auto_spec=self.cost.auto_synthesis_spec() if self.job.schedule_kind == "auto" else None,
+        )
         epilogue_sets = self._epilogue_sets(schedule)
 
         # Per-chunk compute times: a stage's layers are split evenly across chunks.
@@ -259,95 +241,42 @@ class PipelineTimingSimulator:
             "backward_weight": backward_weight_times,
         }
 
-        device_free = [0.0] * num_stages
-        pointers = [0] * num_stages
-        forward_arrival: dict[tuple[int, int, int], float] = {}
-        backward_arrival: dict[tuple[int, int, int], float] = {}
-        for micro in range(num_micro):
-            forward_arrival[(0, micro, 0)] = 0.0  # stage 0 reads input data locally
-            backward_arrival[(num_stages - 1, micro, chunks - 1)] = 0.0  # seeded by the loss
-
         stage_backward_finish = [0.0] * num_stages
         compression_overhead_total = 0.0
         interstage_wire_total = 0.0
-
-        def forward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
-            if stage < num_stages - 1:
-                return (stage + 1, micro, chunk)
-            if chunk < chunks - 1:
-                return (0, micro, chunk + 1)
-            return None
-
-        def backward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
-            if stage > 0:
-                return (stage - 1, micro, chunk)
-            if chunk > 0:
-                return (num_stages - 1, micro, chunk - 1)
-            return None
-
-        remaining = sum(len(ops) for ops in schedule)
-        while remaining > 0:
-            progressed = False
-            for stage in range(num_stages):
-                while pointers[stage] < len(schedule[stage]):
-                    op = schedule[stage][pointers[stage]]
-                    key = (stage, op.micro_batch, op.chunk)
-                    if op.kind == "forward":
-                        if key not in forward_arrival:
-                            break
-                        ready = forward_arrival[key]
-                    elif op.kind == "backward_weight":
-                        # Purely local: depends only on the stage's own earlier
-                        # B pass, which op-list order already sequenced.
-                        ready = 0.0
-                    else:
-                        if key not in backward_arrival:
-                            break
-                        ready = backward_arrival[key]
-                    duration = op_durations[op.kind][stage]
-                    start = max(device_free[stage], ready)
-                    end = start + duration
-                    device_free[stage] = end
-                    pointers[stage] += 1
-                    remaining -= 1
-                    progressed = True
-
-                    if op.kind == "forward":
-                        consumer = forward_consumer(stage, op.micro_batch, op.chunk)
-                        if consumer is not None:
-                            delay, wire, overhead = forward_transfer
-                            forward_arrival[consumer] = end + delay
-                            interstage_wire_total += wire
-                            compression_overhead_total += overhead
-                    else:
-                        stage_backward_finish[stage] = end
-                        consumer = (
-                            backward_consumer(stage, op.micro_batch, op.chunk)
-                            if op.kind in BACKWARD_SEND_KINDS
-                            else None
-                        )
-                        if consumer is not None:
-                            receiving_stage = consumer[0]
-                            compressed = False
-                            if compress_backward:
-                                if epilogue_only:
-                                    compressed = (
-                                        (op.micro_batch, op.chunk)
-                                        in epilogue_sets[receiving_stage]
-                                    ) or (
-                                        (consumer[1], consumer[2])
-                                        in epilogue_sets[receiving_stage]
-                                    )
-                                else:
-                                    compressed = True
-                            delay, wire, overhead = (
-                                compressed_transfer if compressed else plain_transfer
-                            )
-                            backward_arrival[consumer] = end + delay
-                            interstage_wire_total += wire
-                            compression_overhead_total += overhead
-            if not progressed:
-                raise RuntimeError("pipeline schedule deadlocked (invalid dependency structure)")
+        device_free = [0.0] * num_stages
+        stream = op_stream(schedule, chunks)
+        ends: list[float] = []
+        # sends[i]: the transfer that carried op i's output to its consumer.
+        sends: list[tuple[float, float, float] | None] = [None] * len(stream)
+        for stage, op, producer in stream:
+            ready = 0.0
+            if producer >= 0:
+                if op.kind == "forward":
+                    transfer = forward_transfer
+                else:
+                    # A backward send into ``stage``: compressed always, or under
+                    # epilogue-only when either end of it runs in the receiving
+                    # stage's cool-down.
+                    compressed = compress_backward and (
+                        not epilogue_only
+                        or (op.micro_batch, stream[producer][1].chunk) in epilogue_sets[stage]
+                        or (op.micro_batch, op.chunk) in epilogue_sets[stage]
+                    )
+                    transfer = compressed_transfer if compressed else plain_transfer
+                sends[producer] = transfer
+                ready = ends[producer] + transfer[0]
+            end = max(device_free[stage], ready) + op_durations[op.kind][stage]
+            device_free[stage] = end
+            ends.append(end)
+            if op.kind != "forward":
+                stage_backward_finish[stage] = end
+        # Add the sends up in the order they were issued, so the float totals
+        # do not depend on the order their consumers ran in.
+        for transfer in sends:
+            if transfer is not None:
+                interstage_wire_total += transfer[1]
+                compression_overhead_total += transfer[2]
 
         # ---------------- pipeline bubble accounting ------------------------------
         # The pipeline makespan runs from t=0 (stage 0's first forward) to the

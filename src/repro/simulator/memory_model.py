@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.selective_stage import compressed_stages_of
-from repro.parallel.pipeline_schedule import count_in_flight_micro_batches
+from repro.parallel.pipeline_schedule import count_in_flight_micro_batches, stage_ops
 from repro.parallel.scheduler import stage_memory_profile
 from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, ParallelPlan
 from repro.simulator.cost_model import (
@@ -33,7 +33,6 @@ from repro.simulator.cost_model import (
     CostModel,
     TrainingJob,
 )
-from repro.simulator.executor import build_job_schedule
 
 __all__ = [
     "ACTIVATION_BYTES_PER_TOKEN_HIDDEN",
@@ -116,7 +115,14 @@ class MemoryModel:
             )
             return in_flight, 0
         if self._split_profiles is None:
-            schedule = build_job_schedule(self.job, self.cost)
+            schedule = stage_ops(
+                self.job.schedule_kind,
+                self.job.num_stages,
+                self.job.num_micro_batches,
+                auto_spec=(
+                    self.cost.auto_synthesis_spec() if self.job.schedule_kind == "auto" else None
+                ),
+            )
             self._split_profiles = [stage_memory_profile(ops) for ops in schedule]
         return self._split_profiles[stage]
 

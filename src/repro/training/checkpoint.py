@@ -189,23 +189,32 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
             raise KeyError(
                 f"checkpoint does not match the trainer (missing={missing}, unexpected={unexpected})"
             )
+        stored = {key: archive[key] for key in expected}
         for key, target in expected.items():
-            stored = archive[key]
-            if stored.shape != target.shape:
-                raise ValueError(f"shape mismatch for {key}: {stored.shape} vs {target.shape}")
-            target[...] = stored
+            if stored[key].shape != target.shape:
+                raise ValueError(f"shape mismatch for {key}: {stored[key].shape} vs {target.shape}")
 
+        # The codec and optimizer loaders check their state only by loading
+        # it, so undo them if they refuse the checkpoint; the weights are
+        # written only once everything has been accepted.
         state = _unpack_tree(header["state"], archive)
-        trainer.engine.load_mutable_state(state["engine"])
-        optimizer_states = state["optimizers"]
-        for optimizer, optimizer_state in zip(trainer.optimizers, optimizer_states, strict=True):
-            optimizer.load_state_dict(optimizer_state)
-        for optimizer, steps in zip(trainer.optimizers, header["optimizer_steps"], strict=True):
-            if optimizer._step_count != int(steps):
-                raise ValueError(
-                    f"inconsistent checkpoint: optimizer state says step {optimizer._step_count}, "
-                    f"header says {steps}"
-                )
+        snapshot = trainer._rollback_snapshot()
+        try:
+            trainer.engine.load_mutable_state(state["engine"])
+            optimizer_states = state["optimizers"]
+            for optimizer, optimizer_state in zip(trainer.optimizers, optimizer_states, strict=True):
+                optimizer.load_state_dict(optimizer_state)
+            for optimizer, steps in zip(trainer.optimizers, header["optimizer_steps"], strict=True):
+                if optimizer._step_count != int(steps):
+                    raise ValueError(
+                        f"inconsistent checkpoint: optimizer state says step {optimizer._step_count}, "
+                        f"header says {steps}"
+                    )
+        except Exception:
+            trainer._rollback(snapshot)
+            raise
+        for key, target in expected.items():
+            target[...] = stored[key]
 
     trainer._iteration = int(header["iteration"])
     trainer.engine._iteration_index = trainer._iteration

@@ -8,6 +8,7 @@ import pytest
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.parallel.collectives import CommunicationLog
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
+from repro.plan import SCHEDULE_KINDS
 
 
 def make_engine(config, num_stages=2, seed=0, backward_hook=None, log=None):
@@ -123,7 +124,10 @@ class TestZeroBubbleReplay:
     @pytest.mark.parametrize("num_stages", [1, 2, 3, 4])
     @pytest.mark.parametrize("num_micro", [1, 2, 5])
     def test_zb1_is_bit_identical_to_the_phase_loop(self, rng, num_stages, num_micro):
-        """Covers micro_batches < pp and the pp == 1 degenerate case."""
+        """zb1 against the engine's default 1f1b replay.
+
+        Covers micro_batches < pp and the pp == 1 degenerate case.
+        """
         config = self.DEEP_CONFIG
         batches = [make_batch(config, rng) for _ in range(num_micro)]
         reference = make_engine(config, num_stages=num_stages, seed=5)
@@ -140,8 +144,12 @@ class TestZeroBubbleReplay:
         for ref_param, zb1_param in zip(reference.parameters(), zb1.parameters()):
             assert np.array_equal(ref_param.grad, zb1_param.grad), ref_param.name
 
-    def test_zb1_backward_transfers_stay_in_micro_batch_order_per_boundary(self, tiny_config, rng):
-        """LEP residuals ride micro-batch order per boundary — zb1 must keep it."""
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("num_stages", [2, 3, 4])
+    def test_zb1_backward_transfers_stay_in_micro_batch_order_per_boundary(
+        self, rng, kind, num_stages
+    ):
+        """LEP residuals ride micro-batch order per boundary — every kind must keep it."""
         order: dict[int, list[int]] = {}
 
         def hook(grad, boundary, micro_batch, num_micro_batches):
@@ -149,13 +157,14 @@ class TestZeroBubbleReplay:
             return grad, int(grad.size * 2), False
 
         engine = PipelineParallelEngine(
-            build_gpt_stages(tiny_config, 2, seed=0),
+            build_gpt_stages(self.DEEP_CONFIG, num_stages, seed=0),
             InterStageChannel(backward_hook=hook),
-            schedule_kind="zb1",
+            schedule_kind=kind,
+            memory_cap_factor=2.0,
         )
-        batches = [make_batch(tiny_config, rng) for _ in range(4)]
+        batches = [make_batch(self.DEEP_CONFIG, rng) for _ in range(5)]
         engine.run_iteration(batches)
-        assert order == {0: [0, 1, 2, 3]}
+        assert order == {boundary: [0, 1, 2, 3, 4] for boundary in range(num_stages - 1)}
 
     def test_zb1_caches_are_released(self, tiny_config, rng):
         engine = PipelineParallelEngine(

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from repro.parallel.pipeline_schedule import (
     PipelineOp,
-    ScheduleKind,
     build_1f1b_schedule,
     build_gpipe_schedule,
     build_interleaved_1f1b_schedule,
-    build_schedule,
     build_zb1_schedule,
     count_in_flight_micro_batches,
     epilogue_micro_batches,
+    op_stream,
+    stage_ops,
     warmup_micro_batches,
     zb1_deferred_weight_passes,
 )
+from repro.parallel.scheduler import StageCosts, SynthesisSpec, synthesize_schedule
 
 
 def op_counts(ops):
@@ -224,12 +225,85 @@ class TestZB1:
             build_zb1_schedule(2, 0)
 
 
-class TestDispatch:
-    def test_build_schedule_dispatch(self):
-        assert build_schedule(ScheduleKind.GPIPE, 2, 4) == build_gpipe_schedule(2, 4)
-        assert build_schedule(ScheduleKind.ONE_F_ONE_B, 2, 4) == build_1f1b_schedule(2, 4)
-        assert build_schedule(ScheduleKind.INTERLEAVED_1F1B, 2, 4, 2) == build_interleaved_1f1b_schedule(2, 4, 2)
-        assert build_schedule(ScheduleKind.ZERO_BUBBLE_H1, 2, 4) == build_zb1_schedule(2, 4)
+class TestStageOps:
+    def test_kinds_map_to_their_builders(self):
+        assert stage_ops("1f1b", 2, 4) == build_1f1b_schedule(2, 4)
+        assert stage_ops("serial", 2, 4) == build_1f1b_schedule(2, 4)
+        assert stage_ops("1f1b", 2, 4, num_chunks=2) == build_interleaved_1f1b_schedule(2, 4, 2)
+        assert stage_ops("zb1", 2, 4) == build_zb1_schedule(2, 4)
+        spec = SynthesisSpec(2, 4, (StageCosts(1.0, 2.0, 1.0),) * 2, memory_cap_factor=2.0)
+        assert stage_ops("auto", 2, 4, auto_spec=spec) == synthesize_schedule(spec).stage_ops()
+
+    def test_unknown_kind_and_missing_auto_spec_raise(self):
+        with pytest.raises(ValueError, match="schedule kind"):
+            stage_ops("gpipe", 2, 4)
+        with pytest.raises(ValueError, match="auto_spec"):
+            stage_ops("auto", 2, 4)
+
+
+@st.composite
+def schedules(draw):
+    """``(op lists, num_chunks)`` of every schedule family the repo builds."""
+    family = draw(st.sampled_from(["1f1b", "interleaved", "zb1", "synthesized"]))
+    if family == "interleaved":
+        num_stages = draw(st.integers(min_value=2, max_value=4))
+        chunks = draw(st.integers(min_value=2, max_value=3))
+        num_micro = num_stages * draw(st.integers(min_value=1, max_value=3))
+        return build_interleaved_1f1b_schedule(num_stages, num_micro, chunks), chunks
+    num_stages = draw(st.integers(min_value=1, max_value=6))
+    num_micro = draw(st.integers(min_value=1, max_value=10))
+    if family == "1f1b":
+        return build_1f1b_schedule(num_stages, num_micro), 1
+    if family == "zb1":
+        return build_zb1_schedule(num_stages, num_micro), 1
+    cost = st.floats(min_value=0.1, max_value=4.0)
+    spec = SynthesisSpec(
+        num_stages,
+        num_micro,
+        tuple(StageCosts(draw(cost), draw(cost), draw(cost)) for _ in range(num_stages)),
+        transfer_delay=draw(st.floats(min_value=0.0, max_value=0.5)),
+        memory_cap_factor=draw(st.floats(min_value=1.0, max_value=4.0)),
+    )
+    return synthesize_schedule(spec).stage_ops(), 1
+
+
+class TestOpStream:
+    @settings(max_examples=60, deadline=None)
+    @given(case=schedules())
+    def test_every_op_once_after_its_producer_in_list_order(self, case):
+        schedule, chunks = case
+        stream = op_stream(schedule, chunks)
+        last_stage, last_chunk = len(schedule) - 1, chunks - 1
+        # Every op appears once, and each stage's ops keep their list order.
+        assert len(stream) == sum(len(ops) for ops in schedule)
+        for stage, ops in enumerate(schedule):
+            assert [op for s, op, _ in stream if s == stage] == ops
+        consumed = set()
+        for index, (stage, op, producer) in enumerate(stream):
+            mb, chunk = op.micro_batch, op.chunk
+            if op.kind == "forward":
+                local = stage == 0 and chunk == 0
+                upstream = (stage - 1, mb, chunk) if stage > 0 else (last_stage, mb, chunk - 1)
+            elif op.kind == "backward_weight":
+                local, upstream = True, None
+            else:
+                local = stage == last_stage and chunk == last_chunk
+                upstream = (stage + 1, mb, chunk) if stage < last_stage else (0, mb, chunk + 1)
+            if local:
+                assert producer == -1
+                continue
+            # The producer ran earlier, is the op whose output this one reads,
+            # and feeds nobody else.
+            assert 0 <= producer < index
+            assert producer not in consumed
+            consumed.add(producer)
+            producer_stage, producer_op, _ = stream[producer]
+            assert (producer_stage, producer_op.micro_batch, producer_op.chunk) == upstream
+            assert (producer_op.kind == "forward") == (op.kind == "forward")
+
+    def test_single_stage_stream_is_the_list(self):
+        (ops,) = build_1f1b_schedule(1, 3)
+        assert op_stream([ops]) == [(0, op, -1) for op in ops]
 
 
 class TestEpilogue:

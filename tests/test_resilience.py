@@ -355,8 +355,19 @@ class TestCheckpointValidation:
         writer.train_iteration()
         path = save_checkpoint(writer, tmp_path / "ckpt.npz")
         reader = _trainer(_plan(codec="qsgd"))
+        weights = [arena.data.copy() for arena in reader.engine.arenas]
+        optimizer_states = [optimizer.state_dict() for optimizer in reader.optimizers]
         with pytest.raises(ValueError, match="configuration"):
             load_checkpoint(reader, path)
+        # Refused means untouched: nothing of the writer's state got in.
+        for arena, before in zip(reader.engine.arenas, weights, strict=True):
+            assert np.array_equal(arena.data, before)
+        for optimizer, before in zip(reader.optimizers, optimizer_states, strict=True):
+            after = optimizer.state_dict()
+            assert after["step_count"] == before["step_count"]
+            assert after["lr"] == before["lr"]
+            assert np.array_equal(after["exp_avg"], before["exp_avg"])
+            assert np.array_equal(after["exp_avg_sq"], before["exp_avg_sq"])
 
     def test_topology_mismatch_rejected(self, tmp_path):
         writer = _trainer(_plan(dp=2))

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.models.gpt_configs import GPT_8_3B, functional_config
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.parallel.pipeline_engine import PipelineParallelEngine
-from repro.parallel.pipeline_schedule import build_zb1_schedule
+from repro.parallel.pipeline_schedule import build_zb1_schedule, stage_ops
 from repro.parallel.process_groups import ParallelLayout
 from repro.parallel.scheduler import (
     CAP_LADDER,
@@ -372,9 +372,9 @@ class TestMemoryModelStash:
     def test_auto_report_matches_synthesized_op_lists(self):
         job = _paper_job(schedule_kind="auto", memory_cap_factor=2.0)
         model = MemoryModel(job)
-        from repro.simulator.executor import build_job_schedule
-
-        schedule = build_job_schedule(job)
+        schedule = stage_ops(
+            "auto", 4, job.num_micro_batches, auto_spec=model.cost.auto_synthesis_spec()
+        )
         for stage in range(4):
             in_flight, pending = stage_memory_profile(schedule[stage])
             report = model.stage_report(stage)
