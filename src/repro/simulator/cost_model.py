@@ -16,15 +16,14 @@ All times are seconds, all volumes bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.models.gpt_configs import PaperModelSpec
 from repro.parallel.collectives import ring_all_reduce_wire_bytes
+from repro.parallel.pipeline_schedule import PipelineOp, stage_ops
 from repro.parallel.process_groups import ParallelLayout
 from repro.plan import DP_FIRE_KINDS, SPLIT_BACKWARD_KINDS, validate_schedule_kind
 from repro.simulator.hardware import ClusterSpec, PAPER_CLUSTER_SPEC
-
-#: Pipeline shapes the timing simulator can replay.
-SIM_SCHEDULE_KINDS = ("1f1b", "zb1", "auto")
 
 #: Version tag of the analytic cost model, folded into plan-search cache keys
 #: (:mod:`repro.search.cache`).  Bump it whenever a change to the cost methods,
@@ -77,8 +76,8 @@ class TrainingJob:
     #: backward pass instead of at the stage's drain point.
     dp_fire: str = "stage"
     #: Pipeline schedule shape (``repro.plan.Schedule.kind``): ``"1f1b"`` (the
-    #: fused-backward schedule; also used for serial-DP runs, which differ only
-    #: at the DP boundary), ``"zb1"`` (zero-bubble ZB-H1 with the backward
+    #: fused-backward schedule; ``"serial"`` replays the same op lists, as it
+    #: differs only at the DP boundary), ``"zb1"`` (zero-bubble ZB-H1 with the backward
     #: split into B and W passes), or ``"auto"`` (a synthesized split-backward
     #: schedule under ``memory_cap_factor``).  The split kinds require
     #: ``num_model_chunks == 1``.
@@ -92,9 +91,7 @@ class TrainingJob:
             raise ValueError(
                 f"dp_fire must be one of {DP_FIRE_KINDS}, got {self.dp_fire!r}"
             )
-        validate_schedule_kind(
-            self.schedule_kind, SIM_SCHEDULE_KINDS, context="TrainingJob.schedule_kind"
-        )
+        validate_schedule_kind(self.schedule_kind, context="TrainingJob.schedule_kind")
         if self.schedule_kind in SPLIT_BACKWARD_KINDS and self.num_model_chunks > 1:
             raise ValueError(
                 f"{self.schedule_kind} is a plain (non-interleaved) schedule; "
@@ -277,6 +274,14 @@ class CostModel:
                 self.weight_stash_bytes_per_microbatch(stage) for stage in range(num_stages)
             ),
         )
+
+    def stage_ops(self) -> tuple[tuple[PipelineOp, ...], ...]:
+        """The per-stage op lists this job runs; the simulator and memory model both read them.
+
+        Cached per job, so an ``"auto"`` job is synthesized once however many
+        simulators, toggled breakdown runs and memory models ask for it.
+        """
+        return _job_stage_ops(self.job)
 
     # ----------------------------------------------------------- inter-stage p2p --
 
@@ -542,3 +547,14 @@ class CostModel:
                 total += 2.0 * self.constants.kernel_fixed_overhead_s
                 total += passes * rows * cols / gemm_rate
         return total / self.layout.tensor_parallel
+
+
+@lru_cache(maxsize=8)
+def _job_stage_ops(job: TrainingJob) -> tuple[tuple[PipelineOp, ...], ...]:
+    """:meth:`CostModel.stage_ops`, keyed by the (frozen, hashable) job."""
+    chunks = job.num_model_chunks if job.num_stages > 1 else 1
+    auto_spec = CostModel(job).auto_synthesis_spec() if job.schedule_kind == "auto" else None
+    schedule = stage_ops(
+        job.schedule_kind, job.num_stages, job.num_micro_batches, chunks, auto_spec=auto_spec
+    )
+    return tuple(tuple(ops) for ops in schedule)

@@ -25,7 +25,6 @@ from repro.parallel.pipeline_schedule import (
     BACKWARD_SEND_KINDS,
     PipelineOp,
     op_stream,
-    stage_ops,
 )
 from repro.plan import Boundary, ParallelPlan, SPLIT_BACKWARD_KINDS
 from repro.simulator.cost_model import CostModel, TrainingJob
@@ -208,15 +207,9 @@ class PipelineTimingSimulator:
         plain_transfer = self._transfer(False, pp.rank)
         compressed_transfer = self._transfer(True, pp.rank)
         forward_transfer = compressed_transfer if pp.compress_forward else plain_transfer
-        # "auto" synthesizes over this job's costs — the same op lists the
-        # memory model reads, so the two layers cannot disagree about them.
-        schedule = stage_ops(
-            self.job.schedule_kind,
-            num_stages,
-            num_micro,
-            chunks,
-            auto_spec=self.cost.auto_synthesis_spec() if self.job.schedule_kind == "auto" else None,
-        )
+        # The same op lists the memory model reads, so the two layers cannot
+        # disagree about them.
+        schedule = self.cost.stage_ops()
         epilogue_sets = self._epilogue_sets(schedule)
 
         # Per-chunk compute times: a stage's layers are split evenly across chunks.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.selective_stage import compressed_stages_of
-from repro.parallel.pipeline_schedule import count_in_flight_micro_batches, stage_ops
+from repro.parallel.pipeline_schedule import count_in_flight_micro_batches
 from repro.parallel.scheduler import stage_memory_profile
 from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, ParallelPlan
 from repro.simulator.cost_model import (
@@ -104,8 +104,8 @@ class MemoryModel:
         """``(peak in-flight activations, peak pending W stashes)`` of ``stage``.
 
         For the split-backward kinds both counts are read off the actual op
-        lists (for ``"auto"`` that means synthesizing the schedule the
-        simulator would replay, so the report and the replay agree); for the
+        lists the simulator replays (:meth:`CostModel.stage_ops`, so the report
+        and the replay agree); for the
         fused-backward schedules the in-flight peak is the analytic 1F1B count
         and the stash is zero.
         """
@@ -115,15 +115,7 @@ class MemoryModel:
             )
             return in_flight, 0
         if self._split_profiles is None:
-            schedule = stage_ops(
-                self.job.schedule_kind,
-                self.job.num_stages,
-                self.job.num_micro_batches,
-                auto_spec=(
-                    self.cost.auto_synthesis_spec() if self.job.schedule_kind == "auto" else None
-                ),
-            )
-            self._split_profiles = [stage_memory_profile(ops) for ops in schedule]
+            self._split_profiles = [stage_memory_profile(ops) for ops in self.cost.stage_ops()]
         return self._split_profiles[stage]
 
     def _compression_buffer_bytes(self, stage: int) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.compression.powersgd import PowerSGDCompressor
 from repro.plan import validate_schedule_kind
-from repro.simulator.cost_model import SIM_SCHEDULE_KINDS, CostModel, TrainingJob
+from repro.simulator.cost_model import CostModel, TrainingJob
 
 
 @dataclass
@@ -99,7 +99,7 @@ class SchedulePoint:
 def schedule_throughput(
     job: TrainingJob,
     plan=None,
-    kinds: tuple[str, ...] = SIM_SCHEDULE_KINDS,
+    kinds: tuple[str, ...] = ("1f1b", "zb1", "auto"),
 ) -> list[SchedulePoint]:
     """Simulate ``job`` under each pipeline schedule kind and report throughput.
 
@@ -108,6 +108,8 @@ def schedule_throughput(
     sweep).  The job's own ``schedule_kind`` is overridden per point.  ``job`` must be plain
     (``num_model_chunks == 1``): the split-backward schedule cannot interleave,
     and silently un-interleaving the 1f1b baseline would overstate zb1's win.
+    ``kinds`` defaults to the three pipeline shapes; ``"serial"`` would repeat
+    the 1f1b point, as it differs only at the DP boundary.
     """
     from repro.simulator.executor import PipelineTimingSimulator
 
@@ -121,7 +123,7 @@ def schedule_throughput(
     for kind in kinds:
         # Loud rejection of unknown kinds: an unrecognized string must never
         # fall through to 1f1b behavior and masquerade as a real sweep point.
-        validate_schedule_kind(kind, SIM_SCHEDULE_KINDS, context="schedule_throughput")
+        validate_schedule_kind(kind, context="schedule_throughput")
         swept = replace(job, schedule_kind=kind)
         timing = PipelineTimingSimulator(swept, plan).run()
         points.append(

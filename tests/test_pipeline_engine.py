@@ -123,7 +123,7 @@ class TestZeroBubbleReplay:
 
     @pytest.mark.parametrize("num_stages", [1, 2, 3, 4])
     @pytest.mark.parametrize("num_micro", [1, 2, 5])
-    def test_zb1_is_bit_identical_to_the_phase_loop(self, rng, num_stages, num_micro):
+    def test_zb1_is_bit_identical_to_1f1b(self, rng, num_stages, num_micro):
         """zb1 against the engine's default 1f1b replay.
 
         Covers micro_batches < pp and the pp == 1 degenerate case.
@@ -146,7 +146,7 @@ class TestZeroBubbleReplay:
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     @pytest.mark.parametrize("num_stages", [2, 3, 4])
-    def test_zb1_backward_transfers_stay_in_micro_batch_order_per_boundary(
+    def test_backward_transfers_stay_in_micro_batch_order_per_boundary(
         self, rng, kind, num_stages
     ):
         """LEP residuals ride micro-batch order per boundary — every kind must keep it."""

@@ -384,3 +384,22 @@ class TestMemoryModelStash:
             assert report.weight_stash == pytest.approx(
                 model.cost.weight_stash_bytes_per_microbatch(stage) * pending
             )
+
+    def test_auto_is_synthesized_once_per_job(self, monkeypatch):
+        """Simulator, toggled breakdown runs and memory model share one synthesis."""
+        import repro.parallel.scheduler as scheduler
+        from repro.simulator.cost_model import _job_stage_ops
+        from repro.simulator.executor import PipelineTimingSimulator
+
+        calls = []
+        real = scheduler.synthesize_schedule
+        monkeypatch.setattr(
+            scheduler, "synthesize_schedule", lambda spec: calls.append(spec) or real(spec)
+        )
+        _job_stage_ops.cache_clear()
+        job = _paper_job(schedule_kind="auto", memory_cap_factor=2.0)
+        simulator = PipelineTimingSimulator(job)
+        simulator.run()
+        simulator.with_toggles(interstage=0.0).run()
+        MemoryModel(job).peak_report()
+        assert len(calls) == 1
